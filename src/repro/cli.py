@@ -333,9 +333,9 @@ def run_one(
         f"{result.runtime_error_pct:.2f}%"
         if result.runtime_error_pct is not None else "--"
     )
-    measured = (
-        f"{result.speedup.measured_speedup:.1f}x"
-        if result.speedup.measured_speedup is not None else "--"
+    concurrency = (
+        f"{result.speedup.concurrency:.1f}x"
+        if result.speedup.concurrency is not None else "--"
     )
     fallbacks = health.serial_fallbacks + len(health.fallback_regions)
     wall_s = time.time() - t0
@@ -352,7 +352,7 @@ def run_one(
         err,
         f"{result.speedup.theoretical_serial:.1f}x",
         f"{result.speedup.theoretical_parallel:.1f}x",
-        measured,
+        concurrency,
         health.retries,
         fallbacks,
         f"{health.retained_coverage * 100:.0f}%",
@@ -512,7 +512,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     console.result()
     console.result(ascii_table(
         ["workload", "slices", "looppoints", "runtime err",
-         "serial speedup", "parallel speedup", "measured speedup",
+         "serial speedup", "parallel speedup", "concurrency",
          "retries", "fallbacks", "coverage", "wall"],
         rows,
         title="LoopPoint end-to-end results",

@@ -12,7 +12,7 @@ def format_result_table(results: Sequence[LoopPointResult]) -> str:
     header = (
         f"{'workload':<38} {'slices':>6} {'lpts':>5} {'err%':>7} "
         f"{'ser(th)':>9} {'par(th)':>9} {'ser(act)':>9} {'par(act)':>9} "
-        f"{'measured':>9} {'retry':>5} {'fb':>4} {'cov%':>6}"
+        f"{'concur':>9} {'retry':>5} {'fb':>4} {'cov%':>6}"
     )
     lines = [header, "-" * len(header)]
     for r in results:
@@ -28,7 +28,7 @@ def format_result_table(results: Sequence[LoopPointResult]) -> str:
             f"{r.workload:<38} {r.num_slices:>6} {r.num_looppoints:>5} {err} "
             f"{fmt(sp.theoretical_serial)} {fmt(sp.theoretical_parallel)} "
             f"{fmt(sp.actual_serial)} {fmt(sp.actual_parallel)} "
-            f"{fmt(sp.measured_speedup)} "
+            f"{fmt(sp.concurrency)} "
             f"{h.retries:>5} {fallbacks:>4} {h.retained_coverage * 100:>5.1f}%"
         )
     return "\n".join(lines)

@@ -29,17 +29,20 @@ from ..timing.mcsim import SimulationResult
 
 @dataclass(frozen=True)
 class SpeedupReport:
-    """The four speedup flavours of Figs. 8-10, plus the measured one."""
+    """The four speedup flavours of Figs. 8-10, plus the measured
+    concurrency of a parallel region fan-out."""
 
     theoretical_serial: float
     theoretical_parallel: float
     actual_serial: Optional[float] = None
     actual_parallel: Optional[float] = None
     #: Observed wall-clock accounting of a parallel region fan-out: the sum
-    #: of per-region wall times, the elapsed wall time, and their ratio.
+    #: of per-region wall times, the elapsed wall time, and their ratio —
+    #: the average number of regions in flight, not a speedup (see
+    #: :attr:`ExecutionStats.concurrency`).
     measured_serial_seconds: Optional[float] = None
     measured_parallel_seconds: Optional[float] = None
-    measured_speedup: Optional[float] = None
+    concurrency: Optional[float] = None
     #: Worker count the measured numbers were taken with.
     measured_workers: Optional[int] = None
 
@@ -50,7 +53,7 @@ class SpeedupReport:
         return (
             f"{fmt(self.theoretical_serial)} {fmt(self.theoretical_parallel)} "
             f"{fmt(self.actual_serial)} {fmt(self.actual_parallel)} "
-            f"{fmt(self.measured_speedup)}"
+            f"{fmt(self.concurrency)}"
         )
 
 
@@ -66,7 +69,7 @@ def compute_speedups(
     ``region_results`` (from the detailed sweep) enable the *actual*
     speedups; without them only the theoretical ones are computed.
     ``execution`` (a parallel fan-out's wall-clock stats) additionally
-    fills the *measured* serial-vs-parallel numbers.
+    fills the *measured* wall-clock numbers and the fan-out's concurrency.
     """
     if not clusters:
         raise ClusteringError("no clusters; cannot compute speedup")
@@ -91,11 +94,11 @@ def compute_speedups(
             raise ClusteringError("region simulated zero instructions")
         actual_serial = total_all / sum(costs)
         actual_parallel = total_all / max(costs)
-    measured_serial_s = measured_parallel_s = measured = workers = None
+    measured_serial_s = measured_parallel_s = concurrency = workers = None
     if execution is not None and execution.num_jobs > 0:
         measured_serial_s = execution.serial_seconds
         measured_parallel_s = execution.elapsed_seconds
-        measured = execution.measured_speedup
+        concurrency = execution.concurrency
         workers = execution.workers
     return SpeedupReport(
         theoretical_serial=theoretical_serial,
@@ -104,6 +107,6 @@ def compute_speedups(
         actual_parallel=actual_parallel,
         measured_serial_seconds=measured_serial_s,
         measured_parallel_seconds=measured_parallel_s,
-        measured_speedup=measured,
+        concurrency=concurrency,
         measured_workers=workers,
     )

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..errors import ProgramStructureError
+
+#: Cache-line size the timing model probes at (bytes, and its log2).
+LINE_BYTES = 64
+LINE_SHIFT = 6
 
 #: Fixed-point mixing constants (splitmix64) for hash-based streams.
 _MIX1 = 0x9E3779B97F4A7C15
@@ -61,6 +65,23 @@ class AddressGen:
         """Scalar fast path: the address of execution ``index``."""
         return int(self.addresses(tid, index, 1)[0])
 
+    def probe_lines(self, tid: int, start_index: int, count: int) -> Sequence[int]:
+        """Cache lines of executions ``start_index..start_index+count``, in
+        order, with consecutive repeats collapsed to one probe.
+
+        Collapsing is exact for the timing model: a line just touched is
+        MRU in L1, so probing it again is an L1 hit that changes no LRU
+        order, no directory state and no miss count.
+        """
+        if count == 1:
+            return (self.address_at(tid, start_index) >> LINE_SHIFT,)
+        lines = self.addresses(tid, start_index, count).astype(np.int64)
+        lines >>= LINE_SHIFT
+        keep = np.empty(count, dtype=bool)
+        keep[0] = True
+        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+        return lines[keep].tolist()
+
     def footprint(self) -> int:
         """Approximate working-set size in bytes (for documentation)."""
         raise NotImplementedError
@@ -97,8 +118,55 @@ class StridedAccess(AddressGen):
     def address_at(self, tid: int, index: int) -> int:
         return self.base + tid * self.tid_offset + (index * self.stride) % self.window
 
+    def probe_lines(self, tid: int, start_index: int, count: int) -> Sequence[int]:
+        """Arithmetic line walk for line-aligned windows.
+
+        With ``stride`` dividing the line size and base and window
+        line-aligned, execution ``i`` touches window line
+        ``(i * stride // LINE_BYTES) % window_lines`` and that counter
+        advances by at most one per execution, so the collapsed sequence is
+        that counter's range taken modulo the window.
+        Other streams take the generic numpy path.
+        """
+        stride, window = self.stride, self.window
+        base = self.base + tid * self.tid_offset
+        if not (
+            0 < stride <= LINE_BYTES
+            and LINE_BYTES % stride == 0
+            and base % LINE_BYTES == 0
+            and window % LINE_BYTES == 0
+        ):
+            return super().probe_lines(tid, start_index, count)
+        first = base >> LINE_SHIFT
+        nlines = window >> LINE_SHIFT
+        if nlines == 1:
+            return (first,)
+        g0 = start_index * stride >> LINE_SHIFT
+        g1 = (start_index + count - 1) * stride >> LINE_SHIFT
+        pos = g0 % nlines
+        if pos + g1 - g0 < nlines:
+            return range(first + pos, first + pos + g1 - g0 + 1)
+        return [first + g % nlines for g in range(g0, g1 + 1)]
+
     def footprint(self) -> int:
         return self.window
+
+
+def _hashed_addresses(
+    base: int, window: int, granule: int, salt_key: int,
+    start_index: int, count: int,
+) -> np.ndarray:
+    """Granule-aligned addresses in ``[base, base + window)``, scattered by
+    a splitmix64-style hash of ``index + mix64(salt_key)``."""
+    idx = np.arange(start_index, start_index + count, dtype=np.uint64)
+    salt = np.uint64(mix64(salt_key))
+    h = (idx + salt) * np.uint64(_MIX1)
+    h ^= h >> np.uint64(30)
+    h *= np.uint64(_MIX2)
+    h ^= h >> np.uint64(27)
+    slots = window // granule
+    off = (h % np.uint64(slots)).astype(np.int64) * granule
+    return base + off
 
 
 @dataclass(frozen=True)
@@ -118,15 +186,11 @@ class RandomAccess(AddressGen):
             )
 
     def addresses(self, tid: int, start_index: int, count: int) -> np.ndarray:
-        idx = np.arange(start_index, start_index + count, dtype=np.uint64)
-        salt = np.uint64(mix64(self.seed * 1315423911 + (0 if self.shared else tid + 1)))
-        h = (idx + salt) * np.uint64(_MIX1)
-        h ^= h >> np.uint64(30)
-        h *= np.uint64(_MIX2)
-        h ^= h >> np.uint64(27)
-        slots = self.window // self.granule
-        off = (h % np.uint64(slots)).astype(np.int64) * self.granule
-        return self.base + off
+        return _hashed_addresses(
+            self.base, self.window, self.granule,
+            self.seed * 1315423911 + (0 if self.shared else tid + 1),
+            start_index, count,
+        )
 
     def footprint(self) -> int:
         return self.window
@@ -147,11 +211,20 @@ class PointerChaseAccess(AddressGen):
     granule: int = 64
     dependent: bool = True
 
+    def __post_init__(self) -> None:
+        if self.window < self.granule:
+            raise ProgramStructureError(
+                f"pointer-chase window {self.window} smaller than granule"
+            )
+
     def addresses(self, tid: int, start_index: int, count: int) -> np.ndarray:
-        return RandomAccess(
-            self.base, self.window, seed=self.seed ^ 0x5151,
-            granule=self.granule, shared=False,
-        ).addresses(tid, start_index, count)
+        # The stream of a private (per-thread) RandomAccess seeded
+        # ``seed ^ 0x5151``.
+        return _hashed_addresses(
+            self.base, self.window, self.granule,
+            (self.seed ^ 0x5151) * 1315423911 + tid + 1,
+            start_index, count,
+        )
 
     def footprint(self) -> int:
         return self.window

@@ -88,8 +88,14 @@ class ExecutionStats:
     per_job_seconds: Dict[int, float] = field(default_factory=dict)
 
     @property
-    def measured_speedup(self) -> Optional[float]:
-        """Observed serial-over-parallel wall-clock ratio."""
+    def concurrency(self) -> Optional[float]:
+        """Busy seconds over elapsed seconds: how many jobs ran at once on
+        average.
+
+        This is not a speedup.  Per-job walls stretch when workers contend
+        for CPUs, so a fan-out slower than the serial sweep can still show
+        a concurrency near its worker count.
+        """
         if self.workers <= 1 or self.elapsed_seconds <= 0:
             return None
         return self.serial_seconds / self.elapsed_seconds

@@ -36,12 +36,9 @@ rng-stream consumption, observer state and
 Tier selection: the ``REPRO_KERNEL_TIER`` environment variable (or the
 engine's ``kernel_tier=`` argument) takes ``reference``, ``compiled`` or
 ``auto``.  ``auto`` — the default — resolves to ``compiled``: the most
-specialized tier that is unconditionally available.  If ``numba`` is
-importable, :func:`maybe_jit` lets *numeric* helpers opt into JIT
-compilation; the scheduler loop itself walks an object graph (threads,
-events, observers) that no nopython JIT can express, so numba never
-changes tier resolution and the pure-Python rendering stays authoritative
-everywhere.
+specialized tier that is unconditionally available.  Both tiers are pure
+Python; the loop walks an object graph (threads, events, observers) that no
+nopython JIT can express, so no JIT tier exists.
 """
 
 from __future__ import annotations
@@ -50,14 +47,6 @@ import os
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # type: ignore
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - the baked toolchain has no numba
-    numba = None
-    HAVE_NUMBA = False
 
 #: Row-chunk size for the GEMM assignment: bounds the distance temporary at
 #: ``DEFAULT_CHUNK_ROWS * k`` doubles regardless of the population size.
@@ -134,18 +123,6 @@ def weighted_means(
 
 #: Recognized values for ``REPRO_KERNEL_TIER`` / ``kernel_tier=``.
 VALID_TIERS = ("reference", "compiled", "auto")
-
-
-def maybe_jit(fn: Callable, **jit_kwargs) -> Callable:
-    """``numba.njit(fn)`` when numba is importable, else ``fn`` unchanged.
-
-    The guard keeping the pure-Python definition authoritative: helpers
-    decorated with this must be correct *without* numba, because the baked
-    CI toolchain does not ship it.
-    """
-    if HAVE_NUMBA:  # pragma: no cover - numba absent in the baked image
-        return numba.njit(**jit_kwargs)(fn)
-    return fn
 
 
 def select_tier(env: Optional[dict] = None) -> str:

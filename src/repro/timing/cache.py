@@ -2,6 +2,13 @@
 
 Per-set LRU is implemented with insertion-ordered dicts: a hit reinserts the
 tag (moving it to the MRU end); on overflow the LRU tag is the first key.
+Lines map to sets by ``line % num_sets``, so set counts need not be powers of
+two.
+
+The simulator probes caches through :class:`~repro.timing.hierarchy.
+MemoryHierarchy`'s batched kernels, which inline the same steps over
+:attr:`Cache.sets`; :meth:`Cache.access` is the one-line reference they are
+tested against.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ class Cache:
 
     __slots__ = (
         "config", "num_sets", "assoc", "sets", "hits", "misses",
-        "evictions", "invalidations", "_set_mask",
+        "evictions", "invalidations",
     )
 
     def __init__(self, config: CacheConfig) -> None:
@@ -22,28 +29,17 @@ class Cache:
         self.num_sets = config.num_sets
         self.assoc = config.associativity
         self.sets = [dict() for _ in range(self.num_sets)]
-        # num_sets is a power of two for all Table I geometries; fall back to
-        # modulo otherwise.
-        self._set_mask = (
-            self.num_sets - 1 if (self.num_sets & (self.num_sets - 1)) == 0
-            else None
-        )
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-
-    def _set_index(self, line: int) -> int:
-        if self._set_mask is not None:
-            return line & self._set_mask
-        return line % self.num_sets
 
     def access(self, line: int) -> bool:
         """Access ``line`` (line-number, i.e. address >> log2(line size)).
 
         Returns True on hit.  On miss the line is installed, evicting LRU.
         """
-        s = self.sets[self._set_index(line)]
+        s = self.sets[line % self.num_sets]
         tag = line
         if tag in s:
             del s[tag]
@@ -58,11 +54,11 @@ class Cache:
         return False
 
     def contains(self, line: int) -> bool:
-        return line in self.sets[self._set_index(line)]
+        return line in self.sets[line % self.num_sets]
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if present (coherence invalidation)."""
-        s = self.sets[self._set_index(line)]
+        s = self.sets[line % self.num_sets]
         if line in s:
             del s[line]
             self.invalidations += 1

@@ -8,19 +8,22 @@ overlaps independent long-latency misses up to ``max_outstanding_misses``
 difference is what Fig. 5b's OoO-vs-in-order portability experiment
 exercises.
 
-Consecutive same-line accesses inside a batch are collapsed before probing
-the caches; this is exact under LRU (a line just touched is MRU) and keeps
-Python probe counts proportional to distinct lines, not accesses.
+Each memory op of a batch is one call into the hierarchy's batched probe
+kernel with the op's line sequence, consecutive same-line accesses already
+collapsed by :meth:`~repro.isa.instructions.AddressGen.probe_lines`; this is
+exact under LRU (a line just touched is MRU) and keeps Python probe counts
+proportional to distinct lines, not accesses.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Dict
 
 from ..config import CoreConfig
 from ..isa.blocks import BasicBlock
+from ..isa.instructions import LINE_SHIFT
 from .branch import BranchPredictor
-from .hierarchy import L1, MemoryHierarchy
+from .hierarchy import L2, L3, MEM, MemoryHierarchy
 
 #: Issue-rate pressure per FP instruction (cycles), OoO vs in-order.
 _FP_PRESSURE_OOO = 0.25
@@ -49,6 +52,11 @@ class CoreModel:
         self._fp_pressure = (
             _FP_PRESSURE_OOO if config.out_of_order else _FP_PRESSURE_INORDER
         )
+        self._miss_latency = (
+            hierarchy.latency(L2), hierarchy.latency(L3), hierarchy.latency(MEM)
+        )
+        #: Per-block instruction-fetch line range, computed on first use.
+        self._fetch_lines: Dict[BasicBlock, range] = {}
 
     # -- cost model ------------------------------------------------------------
 
@@ -74,38 +82,40 @@ class CoreModel:
 
         hierarchy = self.hierarchy
         core_id = self.core_id
+        lat_l2, lat_l3, lat_mem = self._miss_latency
 
         # Instruction fetch: probe each line the block spans once per batch.
-        first_line = block.pc >> 6
-        last_line = (block.pc + 4 * block.n_instr - 1) >> 6
-        fetch_stall = 0
-        for line in range(first_line, last_line + 1):
-            if hierarchy.fetch(core_id, line) != L1:
-                fetch_stall += hierarchy.latency(3)
+        fetch = self._fetch_lines.get(block)
+        if fetch is None:
+            fetch = self._fetch_lines[block] = range(
+                block.pc >> LINE_SHIFT,
+                ((block.pc + 4 * block.n_instr - 1) >> LINE_SHIFT) + 1,
+            )
+        # An L1-I miss costs an L3 round trip wherever the line is served.
+        fetch_stall = sum(hierarchy.fetch_lines(core_id, fetch)) * lat_l3
 
         mispredicts = self.predictor.execute_block(block, repeat)
 
         mem_latency = 0
         dependent_latency = 0
         num_misses = 0
-        for _slot, gen, is_write, dependent in block.mem_ops:
-            self.l1d_accesses += repeat
-            if repeat == 1:
-                probe_lines = (gen.address_at(self.core_id, start_index) >> 6,)
-            else:
-                lines = (
-                    gen.addresses(core_id, start_index, repeat).astype(np.int64)
-                    >> 6
+        mem_ops = block.mem_ops
+        if mem_ops:
+            self.l1d_accesses += repeat * len(mem_ops)
+            for _slot, gen, is_write, dependent in mem_ops:
+                l2_served, l3_served, mem_served = hierarchy.access_lines(
+                    core_id,
+                    gen.probe_lines(core_id, start_index, repeat),
+                    is_write,
                 )
-                keep = np.empty(repeat, dtype=bool)
-                keep[0] = True
-                np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-                probe_lines = lines[keep].tolist()
-            for line in probe_lines:
-                level = hierarchy.access(core_id, int(line), is_write)
-                if level != L1:
-                    lat = hierarchy.latency(level)
-                    num_misses += 1
+                misses = l2_served + l3_served + mem_served
+                if misses:
+                    num_misses += misses
+                    lat = (
+                        l2_served * lat_l2
+                        + l3_served * lat_l3
+                        + mem_served * lat_mem
+                    )
                     if dependent:
                         dependent_latency += lat
                     else:

@@ -21,7 +21,6 @@ from repro.perf import kernels
 from repro.perf.kernels import (
     VALID_TIERS,
     get_kernel,
-    maybe_jit,
     render_kernel_source,
     select_tier,
 )
@@ -222,17 +221,3 @@ class TestKernelCache:
         with pytest.raises(ValueError, match="tier"):
             get_kernel("turbo", active=True, flow=True, bounded=True,
                        namespace={})
-
-
-class TestMaybeJit:
-    def test_passthrough_without_numba(self):
-        """The pure-Python definition stays authoritative: with numba
-        absent (the baked image), maybe_jit is the identity."""
-
-        def f(x):
-            return x + 1
-
-        wrapped = maybe_jit(f, cache=True)
-        if not kernels.HAVE_NUMBA:
-            assert wrapped is f
-        assert wrapped(2) == 3

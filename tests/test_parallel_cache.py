@@ -23,7 +23,7 @@ from repro.core.looppoint import (
     LoopPointPipeline,
     LoopPointResult,
 )
-from repro.core.speedup import SpeedupReport
+from repro.core.speedup import SpeedupReport, compute_speedups
 from repro.errors import ClusteringError, SimulationError, WorkloadError
 from repro.parallel import (
     ArtifactCache,
@@ -98,14 +98,14 @@ class TestParallelEquivalence:
             assert a.start_cycle == b.start_cycle
             assert a.end_cycle == b.end_cycle
 
-    def test_parallel_run_reports_measured_speedup(self, serial_run):
+    def test_parallel_run_reports_concurrency(self, serial_run):
         workload, _, serial = serial_run
         pipeline = LoopPointPipeline(workload, options=_options(jobs=2))
         result = pipeline.run(simulate_full=False)
-        assert serial.speedup.measured_speedup is None
+        assert serial.speedup.concurrency is None
         sp = result.speedup
         assert sp.measured_workers == 2
-        assert sp.measured_speedup is not None and sp.measured_speedup > 0
+        assert sp.concurrency is not None and sp.concurrency > 0
         assert sp.measured_serial_seconds > 0
         assert sp.measured_parallel_seconds > 0
         stats = pipeline.last_execution
@@ -167,20 +167,32 @@ class TestJobSpecs:
         ]
         outcome = run_region_jobs(jobs, workers=1)
         assert outcome.stats.workers == 1
-        assert outcome.stats.measured_speedup is None
+        assert outcome.stats.concurrency is None
         by_id = {r.region_id: r for r in serial.region_results}
         for res in outcome.results:
             assert res.metrics == by_id[res.region_id].metrics
 
-    def test_execution_stats_speedup(self):
+    def test_execution_stats_concurrency(self, serial_run):
+        """Concurrency is busy seconds over elapsed seconds, whatever the
+        serial path would have cost: four jobs of 3 s each on 2 workers in
+        6 s elapsed ran two at a time, even though a 5 s serial sweep
+        would have beaten the fan-out."""
         stats = ExecutionStats(
-            num_jobs=4, workers=2, serial_seconds=8.0, elapsed_seconds=4.0
+            num_jobs=4, workers=2, serial_seconds=12.0, elapsed_seconds=6.0
         )
-        assert stats.measured_speedup == pytest.approx(2.0)
+        assert stats.concurrency == pytest.approx(2.0)
+        assert not hasattr(stats, "measured_speedup")
+        _, pipeline, _ = serial_run
+        report = compute_speedups(
+            pipeline.profile(), pipeline.select().clusters, execution=stats
+        )
+        assert report.concurrency == pytest.approx(2.0)
+        assert report.measured_serial_seconds == 12.0
+        assert report.measured_parallel_seconds == 6.0
         solo = ExecutionStats(
             num_jobs=4, workers=1, serial_seconds=8.0, elapsed_seconds=8.0
         )
-        assert solo.measured_speedup is None
+        assert solo.concurrency is None
 
 
 # ---------------------------------------------------------------------------
