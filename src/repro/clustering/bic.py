@@ -8,6 +8,7 @@ Sec. III-E).  Higher is better.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -25,10 +26,16 @@ _VARIANCE_FLOOR = 1e-12
 DEFAULT_NOISE_FLOOR = 0.1
 
 
+def points_variance(points: np.ndarray) -> float:
+    """The data's mean per-dimension variance (the noise floor's scale)."""
+    return float(points.var(axis=0).mean())
+
+
 def bic_score(
     points: np.ndarray,
     result: KMeansResult,
     noise_floor: float = DEFAULT_NOISE_FLOOR,
+    total_variance: Optional[float] = None,
 ) -> float:
     """BIC of ``result`` as a model of ``points``.
 
@@ -38,14 +45,17 @@ def bic_score(
 
     with ``var`` the pooled ML variance (floored at ``noise_floor**2`` times
     the data's overall variance), penalized by ``p/2 * log(n)`` free
-    parameters, ``p = k*(d+1)``.
+    parameters, ``p = k*(d+1)``.  ``total_variance`` is the data's mean
+    per-dimension variance (:func:`points_variance`); a k sweep computes it
+    once and passes it in.
     """
     n, d = points.shape
     k = result.k
     if n <= k:
         raise ClusteringError(f"BIC needs more points ({n}) than clusters ({k})")
     variance = result.inertia / (d * (n - k))
-    total_variance = float(points.var(axis=0).mean())
+    if total_variance is None:
+        total_variance = points_variance(points)
     variance = max(variance, noise_floor ** 2 * total_variance, _VARIANCE_FLOOR)
 
     sizes = np.bincount(result.labels, minlength=k).astype(np.float64)

@@ -5,9 +5,14 @@ The assignment step runs in GEMM form by default (``|x|^2 + |c|^2 -
 squared distances as the naive broadcast without the ``O(n * k * d)``
 temporary, and the inner product goes through BLAS.  The broadcast form is
 kept behind ``assignment="broadcast"`` (or ``REPRO_KMEANS_ASSIGN``) as a
-debugging reference.  The update step accumulates weighted sums per cluster
-with ``np.bincount`` — one pass over the points per dimension instead of
-``k`` boolean-mask scans.
+debugging reference.  The points' squared norms are computed once per fit,
+not once per iteration.  The update step accumulates weighted sums per
+cluster with a single ``np.bincount`` over ``(label, dimension)`` bins —
+one pass over the points instead of ``k`` boolean-mask scans.
+
+A fit reports its Lloyd iterations in :class:`KMeansResult`; the caller
+counts fits and iterations into the metrics registry, so the counts survive
+fits that run in pool workers.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ClusteringError
-from ..obs.tracer import active_metrics
 from ..perf.kernels import assign_labels, weighted_means
 from ..resilience import KMEANS_DIVERGE, maybe_inject
 
@@ -74,10 +78,13 @@ def _kmeanspp_init(
     return centroids
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray, mode: str):
-    """``(labels, min_sq_dist)`` under either assignment mode."""
+def _assign(
+    points: np.ndarray, centroids: np.ndarray, mode: str, x2: np.ndarray
+):
+    """``(labels, min_sq_dist)`` under either assignment mode; ``x2`` is
+    the points' squared norms (used by ``gemm``)."""
     if mode == "gemm":
-        return assign_labels(points, centroids)
+        return assign_labels(points, centroids, x2=x2)
     d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     labels = d2.argmin(axis=1)
     return labels, d2[np.arange(points.shape[0]), labels]
@@ -132,10 +139,11 @@ def kmeans(
         rng = np.random.default_rng(seed)
         centroids = _kmeanspp_init(points, k, rng)
     labels = np.zeros(n, dtype=np.int64)
+    x2 = np.einsum("ij,ij->i", points, points)  # |x|^2, once per fit
     iterations = 0
     # The counter is read after the loop for the iteration report.
     for iterations in range(1, max_iter + 1):  # noqa: B007
-        labels, min_d2 = _assign(points, centroids, mode)
+        labels, min_d2 = _assign(points, centroids, mode, x2)
         new_centroids, wsum = weighted_means(points, labels, k, weights)
         empty = wsum == 0
         if empty.any():
@@ -146,12 +154,8 @@ def kmeans(
         centroids = new_centroids
         if shift <= tol:
             break
-    labels, min_d2 = _assign(points, centroids, mode)
+    labels, min_d2 = _assign(points, centroids, mode, x2)
     inertia = float(min_d2.sum())
-    reg = active_metrics()
-    if reg is not None:  # once per fit, never per iteration
-        reg.inc("kmeans.fits")
-        reg.inc("kmeans.iterations", iterations)
     return KMeansResult(
         labels=labels, centroids=centroids, inertia=inertia, k=k,
         iterations=iterations,

@@ -5,18 +5,24 @@ k whose (min-max normalized) BIC clears a threshold (the SimPoint tool's
 default 0.9), and take the slice closest to each centroid as the cluster
 representative.  The representative's weight is its cluster's share of
 filtered instructions — the "multiplier" numerator of Eq. (2) in the paper.
+
+Selection runs at one BLAS thread in every process that clusters (the
+parent and each pool worker): GEMM results can depend on the thread count,
+so pinning it makes the selection independent of the host's CPU count and
+of ``jobs``.  Parallelism comes only from fanning out the k-fits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ClusteringError
 from ..obs.tracer import active_metrics
-from .bic import bic_score
+from ..perf.kernels import assign_labels, blas_threads
+from .bic import bic_score, points_variance
 from .kmeans import KMeansResult, kmeans
 from .projection import DEFAULT_DIMENSIONS, project
 
@@ -99,7 +105,8 @@ def select_simpoints(
     ``jobs > 1`` fans the full sweep's independent seeded k-fits across a
     process pool (each fit is deterministic given its seed, so the result
     is bit-identical to the serial sweep); the warm sweep is inherently
-    sequential and ignores ``jobs``.
+    sequential and ignores ``jobs``.  The whole selection runs at one BLAS
+    thread (see the module docstring).
     """
     opts = options or SimPointOptions()
     if opts.sweep not in ("full", "warm"):
@@ -113,29 +120,32 @@ def select_simpoints(
             f"BBV matrix {bbvs.shape} does not match {counts.shape[0]} counts"
         )
     n = bbvs.shape[0]
-    points = project(bbvs, opts.projection_dim, opts.seed)
-    weights = counts if opts.weighted else None
+    with blas_threads(1):
+        points = project(bbvs, opts.projection_dim, opts.seed)
+        weights = counts if opts.weighted else None
 
-    # Sweep k; keep every clustering so the winner can be reused.  The sweep
-    # stays well below n: with n - k residual degrees of freedom near zero
-    # the variance estimate collapses and BIC diverges.
-    max_k = min(opts.max_k, max(1, n // 2)) if n > 1 else 1
-    if opts.sweep == "warm":
-        results, scores = _warm_sweep(points, weights, opts, max_k, n)
-    else:
-        results, scores = _full_sweep(points, weights, opts, max_k, n, jobs)
+        # Sweep k; keep every clustering so the winner can be reused.  The
+        # sweep stays well below n: with n - k residual degrees of freedom
+        # near zero the variance estimate collapses and BIC diverges.
+        max_k = min(opts.max_k, max(1, n // 2)) if n > 1 else 1
+        if opts.sweep == "warm":
+            results, scores = _warm_sweep(points, weights, opts, max_k, n)
+        else:
+            results, scores = _full_sweep(
+                points, weights, opts, max_k, n, jobs
+            )
 
-    chosen_k = _choose_k(scores, opts.bic_threshold)
-    chosen = results[chosen_k]
-    reg = active_metrics()
-    if reg is not None:
-        reg.inc("select.runs")
-        reg.inc("select.ks_swept", len(scores))
-        reg.gauge("select.chosen_k", chosen_k)
-    clusters = _build_clusters(
-        points, counts, chosen, opts.tie_margin,
-        frozenset(ineligible or ()),
-    )
+        chosen_k = _choose_k(scores, opts.bic_threshold)
+        chosen = results[chosen_k]
+        reg = active_metrics()
+        if reg is not None:
+            reg.inc("select.runs")
+            reg.inc("select.ks_swept", len(scores))
+            reg.gauge("select.chosen_k", chosen_k)
+        clusters = _build_clusters(
+            points, counts, chosen, opts.tie_margin,
+            frozenset(ineligible or ()),
+        )
     return SimPointSelection(
         k=chosen_k, clusters=clusters, labels=chosen.labels, bic_by_k=scores
     )
@@ -153,21 +163,36 @@ def _restarts_for(n: int, opts: SimPointOptions) -> int:
     return 1 if n > 800 else max(1, opts.n_init)
 
 
-def _fit_k(task) -> KMeansResult:
-    """Best-of-restarts k-means fit for one k (module-level: picklable)."""
+def _count_fits(fits: int, iterations: int) -> None:
+    reg = active_metrics()
+    if reg is not None:
+        reg.inc("kmeans.fits", fits)
+        reg.inc("kmeans.iterations", iterations)
+
+
+def _fit_k(task) -> Tuple[KMeansResult, int]:
+    """Best-of-restarts k-means fit for one k, with the Lloyd iterations
+    summed over its restarts (module-level: picklable).  The caller counts
+    them, so a fit in a pool worker is counted like a serial one."""
     points, weights, k, base_seed, n_init = task
     best = None
+    iterations = 0
     for restart in range(n_init):
         candidate = kmeans(
             points, k, seed=base_seed + k + 1000 * restart, weights=weights
         )
+        iterations += candidate.iterations
         if best is None or candidate.inertia < best.inertia:
             best = candidate
-    return best
+    return best, iterations
 
 
-def _score(points: np.ndarray, fit: KMeansResult, n: int) -> float:
-    return bic_score(points, fit) if n > fit.k else float("-inf")
+def _score(
+    points: np.ndarray, fit: KMeansResult, n: int, total_variance: float
+) -> float:
+    if n <= fit.k:
+        return float("-inf")
+    return bic_score(points, fit, total_variance=total_variance)
 
 
 def _full_sweep(
@@ -186,6 +211,7 @@ def _full_sweep(
     are bit-identical to the serial order.
     """
     n_init = _restarts_for(n, opts)
+    total_variance = points_variance(points)
     tasks = [
         (points, weights, k, opts.seed, n_init) for k in range(1, max_k + 1)
     ]
@@ -194,16 +220,18 @@ def _full_sweep(
     if jobs > 1 and opts.patience == 0 and len(tasks) > 1:
         from ..parallel.executor import fanout_map
 
-        for fit in fanout_map(_fit_k, tasks, jobs):
+        for fit, iterations in fanout_map(_fit_k, tasks, jobs):
+            _count_fits(n_init, iterations)
             results[fit.k] = fit
-            scores[fit.k] = _score(points, fit, n)
+            scores[fit.k] = _score(points, fit, n, total_variance)
         return results, scores
     best_score = float("-inf")
     stale = 0
     for task in tasks:
-        fit = _fit_k(task)
+        fit, iterations = _fit_k(task)
+        _count_fits(n_init, iterations)
         results[fit.k] = fit
-        s = scores[fit.k] = _score(points, fit, n)
+        s = scores[fit.k] = _score(points, fit, n, total_variance)
         if s > best_score:
             best_score, stale = s, 0
         else:
@@ -231,8 +259,7 @@ def _warm_sweep(
     the full sweep's; the k=1 fit uses the full sweep's seed so the two
     strategies agree exactly there.
     """
-    from ..perf.kernels import assign_labels
-
+    total_variance = points_variance(points)
     results: Dict[int, KMeansResult] = {}
     scores: Dict[int, float] = {}
     best_score = float("-inf")
@@ -257,8 +284,9 @@ def _warm_sweep(
                 points, k, seed=opts.seed + k, weights=weights,
                 init_centroids=init,
             )
+        _count_fits(1, fit.iterations)
         prev = results[k] = fit
-        s = scores[k] = _score(points, fit, n)
+        s = scores[k] = _score(points, fit, n, total_variance)
         if s > best_score:
             best_score, stale = s, 0
         else:

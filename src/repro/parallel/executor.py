@@ -40,6 +40,7 @@ next to the theoretical Eq. numbers.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -57,6 +58,7 @@ from ..obs.tracer import (
     obs_scope,
     worker_tracer,
 )
+from ..perf.kernels import blas_thread_count, blas_threads, set_blas_threads
 from ..resilience import FaultPlan, RetryPolicy, fault_scope, perform_worker_faults
 from ..timing.mcsim import SimulationResult
 from .jobs import RegionJob, execute_region_job
@@ -65,6 +67,27 @@ from .jobs import RegionJob, execute_region_job
 #: scale simulates in milliseconds-to-seconds; the timeout only exists to
 #: convert a hung worker into a serial fallback instead of a hung run.
 DEFAULT_JOB_TIMEOUT_S = 900.0
+
+_log = logging.getLogger(__name__)
+
+
+def _pin_worker_blas() -> None:
+    if blas_thread_count() != 1:
+        set_blas_threads(1)
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers run OpenBLAS at one thread.
+
+    The parallelism is the fan-out itself; a worker at one BLAS thread per
+    CPU would oversubscribe the host.  Callers create the pool inside
+    ``blas_threads(1)``, so forked workers inherit the count and the
+    initializer has nothing to do: setting the count in a forked child
+    re-creates OpenBLAS's thread pool, whose idle threads then spin (about
+    0.13 CPU-s per worker on a 2-CPU host).  The initializer covers workers
+    that start with a fresh OpenBLAS (non-fork start methods).
+    """
+    return ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker_blas)
 
 
 @dataclass
@@ -231,35 +254,44 @@ def fanout_map(fn, tasks, workers: int, timeout_s: float = DEFAULT_JOB_TIMEOUT_S
     bit-identical to the serial ``[fn(t) for t in tasks]`` by construction.
     Any pool-level failure — a crashed worker, a hung future past the
     shared deadline, an unpicklable task — degrades to exactly that serial
-    evaluation; ``fn``'s own exceptions therefore surface either way.
+    evaluation; ``fn``'s own exceptions therefore surface either way.  The
+    fallback is counted as ``fanout.serial_fallbacks`` and logged.
     """
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     workers_now = min(workers, len(tasks))
-    pool = ProcessPoolExecutor(max_workers=workers_now)
     futures: List[Future] = []
-    try:
-        futures = [pool.submit(fn, task) for task in tasks]
-        deadline = time.monotonic() + timeout_s * math.ceil(
-            len(tasks) / workers_now
-        )
-        results = []
-        for future in futures:
-            remaining = max(0.0, deadline - time.monotonic())
-            results.append(future.result(timeout=remaining))
-        pool.shutdown(wait=True)
-        return results
-    except Exception:
-        # Cut loose any hung workers before falling back (a plain shutdown
-        # would wait on them forever).
-        processes = dict(getattr(pool, "_processes", None) or {})
-        for future in futures:
-            future.cancel()
-        pool.shutdown(wait=False)
-        for proc in processes.values():
-            proc.terminate()
-        return [fn(t) for t in tasks]
+    with blas_threads(1):  # workers fork at one BLAS thread (_new_pool)
+        pool = _new_pool(workers_now)
+        try:
+            futures = [pool.submit(fn, task) for task in tasks]
+            deadline = time.monotonic() + timeout_s * math.ceil(
+                len(tasks) / workers_now
+            )
+            results = []
+            for future in futures:
+                remaining = max(0.0, deadline - time.monotonic())
+                results.append(future.result(timeout=remaining))
+            pool.shutdown(wait=True)
+            return results
+        except Exception as exc:
+            # Cut loose any hung workers before falling back (a plain
+            # shutdown would wait on them forever).
+            processes = dict(getattr(pool, "_processes", None) or {})
+            for future in futures:
+                future.cancel()
+            pool.shutdown(wait=False)
+            for proc in processes.values():
+                proc.terminate()
+            reg = active_metrics()
+            if reg is not None:
+                reg.inc("fanout.serial_fallbacks")
+            _log.warning(
+                "fanout_map: process pool failed (%s); running %d tasks "
+                "serially", _describe(exc), len(tasks),
+            )
+    return [fn(t) for t in tasks]
 
 
 def run_region_jobs(
@@ -303,10 +335,11 @@ def run_region_jobs(
                     raise_on_failure=raise_on_failure,
                 )
             else:
-                outcome = _run_pool(
-                    jobs, workers, timeout_s, retries, backoff,
-                    fault_plan, raise_on_failure,
-                )
+                with blas_threads(1):  # see _new_pool
+                    outcome = _run_pool(
+                        jobs, workers, timeout_s, retries, backoff,
+                        fault_plan, raise_on_failure,
+                    )
             span.set("retries", outcome.stats.retries)
             span.set("serial_fallbacks", outcome.stats.serial_fallbacks)
         _report_fanout(outcome.stats)
@@ -353,7 +386,7 @@ def _run_pool(
 
     while pending:
         workers_now = min(workers, len(pending))
-        pool = ProcessPoolExecutor(max_workers=workers_now)
+        pool = _new_pool(workers_now)
         failed: List[RegionJob] = []
         timed_out = False
         fut_to_id: Dict[Future, int] = {}

@@ -9,8 +9,11 @@ computes the same squared distances in the GEMM form
 ``|x|^2 + |c|^2 - 2 x . c^T`` with row chunking, so peak memory is bounded
 by ``chunk_rows * k`` at any population size and the inner product runs
 through BLAS.  :func:`weighted_means` replaces the per-cluster
-boolean-mask update loop with ``np.bincount`` accumulation — one pass over
-the points per dimension instead of ``k`` mask scans.
+boolean-mask update loop with one ``np.bincount`` over flattened
+``(label, dimension)`` bins — a single pass over the points instead of
+``k`` mask scans or one pass per dimension.  :func:`blas_threads` pins
+OpenBLAS's thread count around a block (the clustering runs at one thread;
+its parallelism comes from fanning out the k-fits).
 
 **Scheduler-kernel tiers.**  The tape-driven scheduler loop (see
 :mod:`repro.exec_engine.schedcore`) is the wall-clock core of every
@@ -43,14 +46,85 @@ nopython JIT can express, so no JIT tier exists.
 
 from __future__ import annotations
 
+import ctypes
 import os
-from typing import Callable, Dict, Optional, Tuple
+from contextlib import contextmanager
+from functools import lru_cache
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 #: Row-chunk size for the GEMM assignment: bounds the distance temporary at
 #: ``DEFAULT_CHUNK_ROWS * k`` doubles regardless of the population size.
 DEFAULT_CHUNK_ROWS = 16384
+
+#: OpenBLAS thread-count setters, tried in order: the plain build, the
+#: 64-bit-integer build, and the ``scipy-openblas64`` wheel numpy ships.
+#: Each getter is the setter's name with ``set`` replaced by ``get``.
+_BLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads64_",
+)
+
+_BlasApi = Tuple[Callable[[int], None], Callable[[], int]]
+
+
+@lru_cache(maxsize=None)
+def _blas() -> Optional[_BlasApi]:
+    """The loaded OpenBLAS's thread-count ``(setter, getter)``, found once
+    per process among the shared objects mapped into it; ``None`` when no
+    OpenBLAS is loaded."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({
+                line.split()[-1] for line in maps
+                if "openblas" in line.lower() and ".so" in line
+            })
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            getter = getattr(lib, name.replace("_set_", "_get_"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+def blas_thread_count() -> Optional[int]:
+    """OpenBLAS's current thread count (``None`` without OpenBLAS)."""
+    api = _blas()
+    return None if api is None else int(api[1]())
+
+
+def set_blas_threads(n: int) -> Optional[int]:
+    """Set OpenBLAS's thread count; returns the previous count, or ``None``
+    (and does nothing) when no OpenBLAS setter is found."""
+    api = _blas()
+    if api is None:
+        return None
+    previous = int(api[1]())
+    api[0](n)
+    return previous
+
+
+@contextmanager
+def blas_threads(n: int) -> Iterator[None]:
+    """Run the block at ``n`` OpenBLAS threads, restoring the previous count
+    on exit (normal or exceptional).  A no-op without OpenBLAS."""
+    previous = set_blas_threads(n)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)
 
 
 def squared_distances(
@@ -72,21 +146,24 @@ def assign_labels(
     points: np.ndarray,
     centroids: np.ndarray,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
+    x2: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid assignment; returns ``(labels, min_sq_dist)``.
 
     Processes ``chunk_rows`` points at a time so the ``chunk x k`` distance
-    temporary stays bounded at any ``n * k``.
+    temporary stays bounded at any ``n * k``.  ``x2`` is the points'
+    squared norms ``|x|^2``; a Lloyd loop computes them once per fit and
+    passes them in.
     """
     n = points.shape[0]
+    if x2 is None:
+        x2 = np.einsum("ij,ij->i", points, points)
     labels = np.empty(n, dtype=np.int64)
     min_d2 = np.empty(n, dtype=np.float64)
     c2 = np.einsum("ij,ij->i", centroids, centroids)
     for lo in range(0, n, chunk_rows):
         hi = min(lo + chunk_rows, n)
-        chunk = points[lo:hi]
-        x2 = np.einsum("ij,ij->i", chunk, chunk)
-        d2 = x2[:, None] + c2[None, :] - 2.0 * (chunk @ centroids.T)
+        d2 = x2[lo:hi, None] + c2[None, :] - 2.0 * (points[lo:hi] @ centroids.T)
         np.maximum(d2, 0.0, out=d2)
         labels[lo:hi] = d2.argmin(axis=1)
         min_d2[lo:hi] = d2[np.arange(hi - lo), labels[lo:hi]]
@@ -99,7 +176,12 @@ def weighted_means(
     k: int,
     weights: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-cluster weighted means via ``np.bincount`` accumulation.
+    """Per-cluster weighted means via one ``np.bincount`` accumulation.
+
+    Bin ``label * d + j`` sums dimension ``j`` of the cluster's points.
+    ``np.bincount`` walks its input in order, so every bin adds its points
+    in index order — the same additions, in the same order, as one
+    ``bincount`` per dimension; the sums are bit-identical to that form.
 
     Returns ``(means, weight_sums)``; a cluster with zero total weight gets
     a zero row in ``means`` (callers re-seed empty clusters themselves).
@@ -108,11 +190,10 @@ def weighted_means(
     if weights is None:
         weights = np.ones(n, dtype=np.float64)
     wsum = np.bincount(labels, weights=weights, minlength=k)
-    acc = np.empty((k, d), dtype=np.float64)
-    for j in range(d):
-        acc[:, j] = np.bincount(
-            labels, weights=weights * points[:, j], minlength=k
-        )
+    bins = (labels[:, None] * d + np.arange(d)).ravel()
+    acc = np.bincount(
+        bins, weights=(weights[:, None] * points).ravel(), minlength=k * d
+    ).reshape(k, d)
     nonzero = wsum > 0
     means = np.zeros((k, d), dtype=np.float64)
     means[nonzero] = acc[nonzero] / wsum[nonzero, None]
