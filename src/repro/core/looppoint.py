@@ -40,7 +40,6 @@ from ..config import (
 )
 from ..errors import (
     ClusteringError,
-    ProfilingError,
     ReproError,
     ResumeError,
     SimulationError,
@@ -70,14 +69,17 @@ from ..resilience import (
     renormalize_clusters,
 )
 from ..store import DEFAULT_LOCK_POLICY, SharedArtifactStore
-from ..dcfg.graph import DCFGBuilder, build_dcfg_from_pinball
-from ..dcfg.loops import loop_header_blocks
-from ..profiling.filters import FilterPolicy
+from ..dcfg.graph import DCFG, DCFGBuilder
+from ..isa.blocks import BasicBlock
 from ..pinplay.pinball import Pinball, RegionPinball
 from ..pinplay.recorder import record_execution
 from ..pinplay.region import extract_region_pinballs
 from ..policy import WaitPolicy
-from ..profiling.profile_result import ProfileData, profile_pinball
+from ..profiling.profile_result import (
+    ProfileData,
+    profile_pinball,
+    worker_loop_markers,
+)
 from ..timing.mcsim import (
     MultiCoreSimulator,
     RegionOfInterest,
@@ -280,13 +282,13 @@ class LoopPointPipeline:
         self._marker_pcs: Optional[List[int]] = None
         self._live: Optional["LiveResult"] = None
         self._live_options: Optional["LiveOptions"] = None
-        #: When set, a record-stage cache miss attaches a DCFG builder
-        #: to the recording engine so live mode gets its control-flow
-        #: graph without a dedicated analysis replay (the builder's
-        #: per-thread edge chains are order-free across threads, so the
-        #: result is identical to a replay-built DCFG).
-        self._want_record_dcfg = False
-        self._record_dcfg = None
+        #: The DCFG built during an in-process record (a record-stage
+        #: cache miss attaches a builder to the recording engine), so
+        #: profile and live mode get their marker blocks without a
+        #: dedicated analysis replay.  Edges chain per thread, so it
+        #: holds the same counts as a replay-built DCFG.  ``None`` after a
+        #: record-cache hit: the DCFG replay is the fallback then.
+        self._record_dcfg: Optional[DCFG] = None
         #: Persistent stage-artifact cache (None when no cache_dir is set).
         #: A SharedArtifactStore: safe to point many concurrent pipelines
         #: at one directory (single-flight per-key locks, crash-consistent
@@ -519,11 +521,7 @@ class LoopPointPipeline:
 
     def _compute_record(self) -> Pinball:
         w = self.workload
-        builder = None
-        extra = ()
-        if self._want_record_dcfg:
-            builder = DCFGBuilder(w.program, w.nthreads)
-            extra = (builder,)
+        builder = DCFGBuilder(w.program, w.nthreads)
         pinball, _ = record_execution(
             w.program,
             w.thread_program,
@@ -531,10 +529,9 @@ class LoopPointPipeline:
             w.nthreads,
             wait_policy=self.options.wait_policy,
             seed=self.options.record_seed,
-            extra_observers=extra,
+            extra_observers=(builder,),
         )
-        if builder is not None:
-            self._record_dcfg = builder.result()
+        self._record_dcfg = builder.result()
         return pinball
 
     def record(self) -> Pinball:
@@ -547,13 +544,32 @@ class LoopPointPipeline:
                 )
         return self._pinball
 
+    def _worker_loop_markers(self) -> List[BasicBlock]:
+        """Marker blocks from the record-time DCFG, or from a DCFG replay
+        after a record-cache hit; the open span's ``dcfg`` attribute says
+        which (``record`` or ``replay``)."""
+        pinball = self.record()
+        dcfg = self._record_dcfg
+        active_tracer().set_current(
+            "dcfg", "replay" if dcfg is None else "record"
+        )
+        return worker_loop_markers(self.workload.program, pinball, dcfg)
+
     def _compute_profile(self) -> ProfileData:
         return profile_pinball(
-            self.workload.program, self.record(), self.slice_size
+            self.workload.program,
+            self.record(),
+            self.slice_size,
+            marker_blocks=self._worker_loop_markers(),
         )
 
     def profile(self) -> ProfileData:
-        """Stage 2: DCFG + loop-aligned slicing + filtered BBVs."""
+        """Stage 2: DCFG + loop-aligned slicing + filtered BBVs.
+
+        One slicing replay when record ran in-process (its DCFG supplies
+        the marker blocks); after a record-cache hit a DCFG replay comes
+        first.
+        """
         if self._profile is None:
             with fault_scope(self.options.fault_plan):
                 self._profile = self._stage_artifact(
@@ -599,23 +615,7 @@ class LoopPointPipeline:
         return self._selection
 
     def _compute_marker_pcs(self) -> List[int]:
-        pinball = self.record()
-        dcfg = self._record_dcfg
-        if dcfg is None:
-            dcfg = build_dcfg_from_pinball(self.workload.program, pinball)
-        policy = FilterPolicy()
-        blocks = [
-            b for b in loop_header_blocks(
-                dcfg, self.workload.program, main_only=True
-            )
-            if policy.marker_eligible(b)
-        ]
-        if not blocks:
-            raise ProfilingError(
-                f"no marker-eligible loop headers found in "
-                f"{self.workload.program.name!r}"
-            )
-        return sorted(b.pc for b in blocks)
+        return sorted(b.pc for b in self._worker_loop_markers())
 
     def marker_pcs(self) -> List[int]:
         """Live stage 2a: worker-loop marker PCs from the DCFG.
@@ -626,7 +626,6 @@ class LoopPointPipeline:
         to one analysis replay.  Cached under the ``dcfg`` stage key.
         """
         if self._marker_pcs is None:
-            self._want_record_dcfg = True
             with fault_scope(self.options.fault_plan):
                 self._marker_pcs = self._stage_artifact(
                     "dcfg", self._dcfg_material(), list,
@@ -674,9 +673,6 @@ class LoopPointPipeline:
             self._live = None
         self._live_options = options
         if self._live is None:
-            # Ask the record stage (if it has not run yet) to build the
-            # DCFG during recording — the single-pass fast path.
-            self._want_record_dcfg = True
             with fault_scope(self.options.fault_plan):
                 self._live = self._stage_artifact(
                     "live", self._live_material(options), LiveResult,

@@ -186,10 +186,11 @@ def bench_pipeline(build, reps: int) -> Dict:
     from ..analysis.online import LiveOptions, LiveSampler
     from ..clustering.simpoint import SimPointOptions, select_simpoints
     from ..dcfg.graph import DCFGBuilder
-    from ..dcfg.loops import loop_header_blocks
     from ..pinplay.recorder import record_execution
-    from ..profiling.filters import FilterPolicy
-    from ..profiling.profile_result import profile_pinball
+    from ..profiling.profile_result import (
+        profile_pinball,
+        worker_loop_markers,
+    )
     from ..timing.mcsim import SimulationResult
     from ..timing.metrics import SimMetrics
 
@@ -226,13 +227,9 @@ def bench_pipeline(build, reps: int) -> Dict:
             workload.program, workload.thread_program, workload.omp,
             workload.nthreads, seed=0, extra_observers=(builder,),
         )
-        policy = FilterPolicy()
-        markers = [
-            b for b in loop_header_blocks(
-                builder.result(), workload.program, main_only=True
-            )
-            if policy.marker_eligible(b)
-        ]
+        markers = worker_loop_markers(
+            workload.program, pinball, builder.result()
+        )
         LiveSampler(
             workload.program, pinball, markers, slice_size,
             scale.warmup_instructions, stub_simulate,

@@ -6,13 +6,18 @@ starts from warmed microarchitectural state.  We replay the whole-program
 pinball once and, for every requested region, capture three cut points per
 thread: warmup start (a filtered-instruction coordinate), detail start (the
 region's start marker), and detail end (the end marker).
+
+The replay's per-entry hook does O(1) work however many regions are cut:
+pending cuts are indexed (warmup coordinates sorted, markers keyed by
+``(pc, count)``) instead of scanned, so extraction costs one replay plus
+O(log cuts) per cut point.
 """
 
 from __future__ import annotations
 
-import copy
+import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import RegionError
 from ..isa.image import Program
@@ -45,12 +50,13 @@ class RegionCut:
 
 class _CutState:
     __slots__ = (
-        "cut", "stage", "warm_pos", "warm_counts", "warm_total",
+        "index", "cut", "stage", "warm_pos", "warm_counts", "warm_total",
         "warm_filtered", "detail_pos", "end_pos", "detail_total",
         "detail_filtered", "end_total", "end_filtered",
     )
 
-    def __init__(self, cut: RegionCut) -> None:
+    def __init__(self, index: int, cut: RegionCut) -> None:
+        self.index = index
         self.cut = cut
         self.stage = _AWAIT_WARMUP
         self.warm_pos: Optional[List[int]] = None
@@ -65,6 +71,47 @@ class _CutState:
         self.end_filtered = 0
 
 
+class _PendingMarkers:
+    """Cut states waiting for their next ``(pc, count)`` marker.
+
+    A state waits on its start marker, then on its end marker, so one
+    table serves both.  States are keyed by ``(pc, count)``; a sorted
+    list of pending counts per PC tells an entry covering the counts
+    ``[before, before + repeat)`` with one compare whether any state
+    waits in that range, and bisection finds them.
+    """
+
+    def __init__(self) -> None:
+        self._waiting: Dict[Tuple[int, int], List[_CutState]] = {}
+        #: Pending counts per PC, ascending.
+        self.counts: Dict[int, List[int]] = {}
+
+    def add(self, marker: Marker, state: _CutState) -> None:
+        key = (marker.pc, marker.count)
+        if key not in self._waiting:
+            self._waiting[key] = []
+            bisect.insort(self.counts.setdefault(marker.pc, []), marker.count)
+        self._waiting[key].append(state)
+
+    def take(self, pc: int, before: int, repeat: int) -> List[_CutState]:
+        """Remove and return the states waiting on a count in
+        ``[before, before + repeat)``."""
+        counts = self.counts.get(pc)
+        if not counts:
+            return []
+        lo = bisect.bisect_left(counts, before)
+        hi = bisect.bisect_left(counts, before + repeat, lo)
+        for count in counts[:lo]:
+            # Already passed (counts only grow): these states can never
+            # fire, and finalization reports them as never reached.
+            del self._waiting[(pc, count)]
+        taken: List[_CutState] = []
+        for count in counts[lo:hi]:
+            taken.extend(self._waiting.pop((pc, count)))
+        del counts[:hi]
+        return taken
+
+
 def extract_region_pinballs(
     program: Program,
     pinball: Pinball,
@@ -74,9 +121,18 @@ def extract_region_pinballs(
 
     A single constrained replay of ``pinball`` locates every cut point, so
     extraction cost is one replay regardless of the number of regions.
+    The per-entry hook does O(1) work however many cuts are pending:
+    warmup coordinates wait in a sorted queue behind one threshold
+    compare, and start/end markers wait keyed by ``(pc, count)``, so only
+    marker entries that some cut names do more than a dict lookup.
     """
     maybe_inject(REGION_EXTRACT, f"extract:{program.name}:{len(cuts)}")
-    states = [_CutState(cut) for cut in cuts]
+    states = [_CutState(i, cut) for i, cut in enumerate(cuts)]
+    warm_queue = sorted(
+        states, key=lambda st: (st.cut.warmup_filtered, st.index)
+    )
+    warm_next = 0
+    warm_at = warm_queue[0].cut.warmup_filtered if warm_queue else None
     marker_pcs = set()
     for cut in cuts:
         for marker in (cut.start, cut.end):
@@ -84,29 +140,75 @@ def extract_region_pinballs(
                 marker_pcs.add(marker.pc)
     bid_to_pc = {program.block_at(pc).bid: pc for pc in marker_pcs}
     marker_counts: Dict[int, int] = {pc: 0 for pc in marker_pcs}
+    pending = _PendingMarkers()
+    pending_counts = pending.counts
 
     replayer = ConstrainedReplayer(program, pinball)
 
-    def hook(tid: int, pos: int, entry) -> None:
-        filtered = replayer.filtered_instructions
-        total = replayer.total_instructions
-        positions = replayer.positions
-        for state in states:
-            if (
-                state.stage == _AWAIT_WARMUP
-                and filtered >= state.cut.warmup_filtered
-            ):
-                state.warm_pos = list(positions)
-                state.warm_counts = copy.deepcopy(replayer.exec_counts)
-                state.warm_total = total
-                state.warm_filtered = filtered
-                state.stage = _AWAIT_START
-                if state.cut.start is None:
-                    state.detail_pos = list(positions)
-                    state.detail_total = total
-                    state.detail_filtered = filtered
-                    state.stage = _AWAIT_END
+    def detail_start(state: _CutState) -> None:
+        state.detail_pos = list(replayer.positions)
+        state.detail_total = replayer.total_instructions
+        state.detail_filtered = replayer.filtered_instructions
+        state.stage = _AWAIT_END
+        if state.cut.end is not None:
+            pending.add(state.cut.end, state)
 
+    def reach_warmup() -> None:
+        nonlocal warm_next, warm_at
+        filtered = replayer.filtered_instructions
+        exec_counts = replayer.exec_counts
+        while warm_at is not None and filtered >= warm_at:
+            state = warm_queue[warm_next]
+            state.warm_pos = list(replayer.positions)
+            state.warm_counts = [list(row) for row in exec_counts]
+            state.warm_total = replayer.total_instructions
+            state.warm_filtered = filtered
+            state.stage = _AWAIT_START
+            if state.cut.start is None:
+                detail_start(state)
+            else:
+                pending.add(state.cut.start, state)
+            warm_next += 1
+            warm_at = (
+                warm_queue[warm_next].cut.warmup_filtered
+                if warm_next < len(warm_queue) else None
+            )
+
+    def reach_marker(pc: int, before: int, repeat: int) -> None:
+        # In cut order, as a scan over every state would: a state may
+        # start and end at the same entry, and the first cut whose
+        # marker falls strictly inside the entry names the error.
+        for state in sorted(
+            pending.take(pc, before, repeat), key=lambda st: st.index
+        ):
+            if state.stage == _AWAIT_START:
+                m = state.cut.start
+                assert m is not None
+                if m.count != before:
+                    raise RegionError(
+                        f"start marker {m} falls inside a batched entry"
+                    )
+                detail_start(state)
+                m = state.cut.end
+                if m is None or m.pc != pc or not (
+                    before <= m.count < before + repeat
+                ):
+                    continue
+                pending.take(pc, m.count, 1)
+            m = state.cut.end
+            assert m is not None
+            if m.count != before:
+                raise RegionError(
+                    f"end marker {m} falls inside a batched entry"
+                )
+            state.end_pos = list(replayer.positions)
+            state.end_total = replayer.total_instructions
+            state.end_filtered = replayer.filtered_instructions
+            state.stage = _DONE
+
+    def hook(tid: int, pos: int, entry) -> None:
+        if warm_at is not None and replayer.filtered_instructions >= warm_at:
+            reach_warmup()
         if entry[0] != "b":
             return
         pc = bid_to_pc.get(entry[1])
@@ -115,29 +217,9 @@ def extract_region_pinballs(
         before = marker_counts[pc]
         repeat = entry[2]
         marker_counts[pc] = before + repeat
-        for state in states:
-            if state.stage == _AWAIT_START:
-                m = state.cut.start
-                if m is not None and m.pc == pc and before <= m.count < before + repeat:
-                    if m.count != before:
-                        raise RegionError(
-                            f"start marker {m} falls inside a batched entry"
-                        )
-                    state.detail_pos = list(positions)
-                    state.detail_total = total
-                    state.detail_filtered = filtered
-                    state.stage = _AWAIT_END
-            if state.stage == _AWAIT_END:
-                m = state.cut.end
-                if m is not None and m.pc == pc and before <= m.count < before + repeat:
-                    if m.count != before:
-                        raise RegionError(
-                            f"end marker {m} falls inside a batched entry"
-                        )
-                    state.end_pos = list(positions)
-                    state.end_total = total
-                    state.end_filtered = filtered
-                    state.stage = _DONE
+        counts = pending_counts.get(pc)
+        if counts and counts[0] < before + repeat:
+            reach_marker(pc, before, repeat)
 
     replayer.entry_hook = hook
     replayer.run()

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
+import numpy as np
+
 from ..errors import RegionError
 from ..isa.blocks import BasicBlock
 
@@ -80,6 +82,17 @@ class MarkerTracker:
         before = self._counts[pc]
         self._counts[pc] = before + repeat
         return before
+
+    def record_batch(self, bids: np.ndarray, repeats: np.ndarray) -> None:
+        """Bulk :meth:`record` of marker executions (counts only).
+
+        Every ``bids`` entry must be a tracked marker block.  Order within
+        the run does not matter to the final counts, and the float64
+        ``bincount`` is exact for counts below 2**53.
+        """
+        sums = np.bincount(bids, weights=repeats)
+        for bid in np.flatnonzero(sums).tolist():
+            self._counts[self._by_bid[bid]] += int(sums[bid])
 
     def snapshot(self) -> Dict[int, int]:
         """Current counts, keyed by PC."""

@@ -1,9 +1,11 @@
 """The complete up-front analysis of one recorded execution.
 
-``profile_pinball`` is the paper's one-time analysis step (Sec. III): replay
-the whole-program pinball to build the DCFG and find worker-loop headers,
-then replay again slicing at those loop entries while collecting filtered,
-per-thread-concatenated BBVs.
+``profile_pinball`` is the paper's one-time analysis step (Sec. III): find
+the worker-loop headers in the DCFG, then replay the whole-program pinball
+slicing at those loop entries while collecting filtered,
+per-thread-concatenated BBVs.  The DCFG comes from the recording run when
+the caller has it (the pipeline attaches a builder to the record stage);
+otherwise :func:`worker_loop_markers` builds it with one more replay.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..dcfg.graph import build_dcfg_from_pinball
+from ..dcfg.graph import DCFG, build_dcfg_from_pinball
 from ..dcfg.loops import loop_header_blocks
 from ..errors import ProfilingError
 from ..isa.blocks import BasicBlock
@@ -55,6 +57,33 @@ class ProfileData:
         return len(self.slices)
 
 
+def worker_loop_markers(
+    program: Program,
+    pinball: Pinball,
+    dcfg: Optional[DCFG] = None,
+    filter_policy: Optional[FilterPolicy] = None,
+) -> List[BasicBlock]:
+    """The marker blocks LoopPoint slices at: main-image natural-loop
+    headers of the DCFG that the filter policy allows as markers.
+
+    ``dcfg`` is the recording run's graph when available; without it the
+    DCFG is built by replaying ``pinball``.  Raises
+    :class:`~repro.errors.ProfilingError` when no block qualifies.
+    """
+    policy = filter_policy or FilterPolicy()
+    if dcfg is None:
+        dcfg = build_dcfg_from_pinball(program, pinball)
+    blocks = [
+        b for b in loop_header_blocks(dcfg, program, main_only=True)
+        if policy.marker_eligible(b)
+    ]
+    if not blocks:
+        raise ProfilingError(
+            f"no marker-eligible loop headers found in {program.name!r}"
+        )
+    return blocks
+
+
 def profile_pinball(
     program: Program,
     pinball: Pinball,
@@ -72,11 +101,7 @@ def profile_pinball(
     maybe_inject(PROFILE_DIVERGENCE, f"profile:{program.name}")
     policy = filter_policy or FilterPolicy()
     if marker_blocks is None:
-        dcfg = build_dcfg_from_pinball(program, pinball)
-        marker_blocks = [
-            b for b in loop_header_blocks(dcfg, program, main_only=True)
-            if policy.marker_eligible(b)
-        ]
+        marker_blocks = worker_loop_markers(program, pinball, None, policy)
     if not marker_blocks:
         raise ProfilingError(
             f"no marker-eligible loop headers found in {program.name!r}"

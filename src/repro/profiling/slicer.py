@@ -5,6 +5,11 @@ instructions for an ``N``-thread run; "the end of a region specified by a BBV
 is the next loop entry once the instruction-count target is achieved", where
 eligible loop entries are worker loops in the main image.  Each boundary is
 a :class:`~repro.profiling.markers.Marker` — a ``(PC, count)`` pair.
+
+Under a batching driver the slicer does per-close, not per-event, Python
+work: a prefix sum over a batch's filtered work locates the marker that
+closes the slice (see :meth:`LoopAlignedSlicer.on_block_batch`), and the
+events in between accumulate in bulk.
 """
 
 from __future__ import annotations
@@ -106,7 +111,10 @@ class LoopAlignedSlicer(Observer):
         # at sync boundaries (see EventRing's ordering contract); marker
         # ordering within the block stream is preserved by segmentation.
         self.needs_flush_before_sync = False
-        self._marker_bids: Optional[np.ndarray] = None
+        # Only the phase-aligned per-event shim reads start indices.
+        self.needs_start_index = phase_aligned
+        self._is_marker = np.zeros(nblocks, dtype=bool)
+        self._is_marker[[b.bid for b in marker_blocks]] = True
 
     # -- observer interface ---------------------------------------------------
 
@@ -134,61 +142,61 @@ class LoopAlignedSlicer(Observer):
         self.bbv.add(tid, block, repeat)
 
     def on_block_batch(self, batch) -> None:
-        """Batched :meth:`on_block`: vectorize the runs between markers.
+        """Batched :meth:`on_block`: close slices without per-event Python.
 
-        Slice boundaries can only occur at marker executions, so everything
-        between two markers is order-free accumulation — those runs reduce
-        vectorially through :meth:`BBVCollector.add_batch`, while each
-        marker event replays through the scalar path to keep the exact
-        close-slice semantics.  Phase-aligned mode tracks per-routine mass
-        on every countable event, so it keeps the per-event shim.
+        A slice closes at the first marker event whose *pre-event* slice
+        count reaches ``slice_size``.  Filtered work is an exclusive
+        prefix sum over the batch, so the closing marker is one
+        ``searchsorted`` over the prefix values at the marker positions.
+        Every event before it — other markers included — is order-free
+        accumulation: BBVs, counters and marker counts add in bulk.  The
+        close runs scalar, and the closing marker event opens the next
+        slice.  Python work is per close, not per event.  Phase-aligned
+        mode tracks per-routine mass on every countable event, so it keeps
+        the per-event shim.
         """
         if self.phase_aligned:
             super().on_block_batch(batch)
             return
-        if self._marker_bids is None:
-            self._marker_bids = np.array(
-                sorted(
-                    bid for bid in range(len(batch.blocks))
-                    if self.tracker.is_marker_bid(bid)
-                ),
-                dtype=np.int64,
-            )
-        bids = batch.bid
-        is_marker = np.isin(bids, self._marker_bids)
-        if not is_marker.any():
-            self._consume_plain(batch.tid, bids, batch.repeat, batch.blocks)
-            return
-        tids = batch.tid
-        repeats = batch.repeat
-        starts = batch.start_index
         blocks = batch.blocks
-        prev = 0
-        for p in np.flatnonzero(is_marker):
-            if p > prev:
-                run = slice(prev, p)
-                self._consume_plain(
-                    tids[run], bids[run], repeats[run], blocks
-                )
-            i = int(p)
-            self.on_block(
-                int(tids[i]), blocks[int(bids[i])], int(repeats[i]),
-                int(starts[i]),
-            )
-            prev = i + 1
-        if prev < batch.size:
-            run = slice(prev, batch.size)
-            self._consume_plain(tids[run], bids[run], repeats[run], blocks)
-
-    def _consume_plain(self, tids, bids, repeats, blocks) -> None:
-        """Accumulate a marker-free run of events into the open slice."""
         n_instr, countable = self.bbv.work_tables(blocks)
-        per_event = n_instr[bids] * repeats
-        self._slice_total += int(per_event.sum())
-        filtered = int(per_event[countable[bids]].sum())
-        self._slice_filtered += filtered
-        self._global_filtered += filtered
-        self.bbv.add_batch(tids, bids, repeats, blocks)
+        tids = batch.tid
+        bids = batch.bid
+        repeats = batch.repeat
+        work = n_instr[bids] * repeats
+        # Exclusive prefix sums: entry i is the work of events [0, i).
+        work_before = np.concatenate(([0], np.cumsum(work)))
+        filtered_before = np.concatenate(
+            ([0], np.cumsum(np.where(countable[bids], work, 0)))
+        )
+        marks = np.flatnonzero(self._is_marker[bids])
+        mark_prefix = filtered_before[marks]
+        start = 0  # first event of the open slice within this batch
+        m = 0  # first marker at or after ``start``
+        while True:
+            need = (
+                self.slice_size - self._slice_filtered
+                + int(filtered_before[start])
+            )
+            j = max(m, int(np.searchsorted(mark_prefix, need)))
+            end = batch.size if j == len(marks) else int(marks[j])
+            if end > start:
+                self._slice_total += int(work_before[end] - work_before[start])
+                filtered = int(filtered_before[end] - filtered_before[start])
+                self._slice_filtered += filtered
+                self._global_filtered += filtered
+                run = marks[m:j]
+                self.tracker.record_batch(bids[run], repeats[run])
+                self.bbv.add_batch(
+                    tids[start:end], bids[start:end], repeats[start:end],
+                    blocks,
+                )
+            if j == len(marks):
+                return
+            pc = blocks[int(bids[end])].pc
+            self._close_slice(Marker(pc, self.tracker.count(pc)))
+            start = end
+            m = j
 
     def _is_phase_change(self, block) -> bool:
         """True when this loop entry belongs to a routine other than the

@@ -291,9 +291,19 @@ class _RegionController:
         if self.detailed or not roi.open_ended:
             if clip_at_end:
                 return
+            which, marker = (
+                ("end", roi.end) if self.detailed else ("start", roi.start)
+            )
+            detail = ""
+            if marker is not None and self.tracker is not None:
+                detail = (
+                    f": {which} marker {marker} unreached, pc "
+                    f"{marker.pc:#x} reached global count "
+                    f"{self.tracker.count(marker.pc)}"
+                )
             raise RegionError(
                 f"region {roi.region_id}: boundaries never reached "
-                f"(detailed={self.detailed})"
+                f"(detailed={self.detailed}){detail}"
             )
         if whole_run:
             raise RegionError("whole-run simulation never started detail")

@@ -128,6 +128,22 @@ class TestMarkerRegions:
                 tp, 4, WaitPolicy.PASSIVE, regions=rois
             )
 
+    def test_unreached_marker_named_in_error(self, toy_parts):
+        program, tp, omp = toy_parts
+        hdr = program.routine("compute").entry
+        rois = [RegionOfInterest(
+            0, Marker(hdr.pc, 10**9), Marker(hdr.pc, 10**9 + 1)
+        )]
+        with pytest.raises(RegionError) as info:
+            fresh_sim(program, omp).run_binary(
+                tp, 4, WaitPolicy.PASSIVE, regions=rois
+            )
+        message = str(info.value)
+        assert "boundaries never reached" in message
+        assert f"start marker ({hdr.pc:#x}, {10**9}) unreached" in message
+        reached = int(message.rsplit("reached global count ", 1)[1])
+        assert 0 < reached < 10**9
+
     def test_clip_at_end_tolerates_overrun(self, toy_parts):
         program, tp, omp = toy_parts
         rois = [
@@ -227,3 +243,32 @@ class TestCheckpointDriven:
         pinball, _profile = toy_profile
         constrained = fresh_sim(program, omp).run_pinball(pinball)
         assert constrained.metrics.cycles != full_run.metrics.cycles
+
+
+class TestKnownSweepDefect:
+    """638.imagick_s.1's binary-driven sweep on train inputs at ``tiny``
+    scale never reaches region 314's end marker ``(0x4000a8, 56480)``,
+    under both wait policies.  Pinned as a strict xfail: the test fails
+    loudly once the defect is fixed, so the mark must go then."""
+
+    @pytest.mark.xfail(strict=True, raises=RegionError,
+                       reason="known defect: region 314 end marker unreached")
+    @pytest.mark.parametrize("policy", ["passive", "active"])
+    def test_imagick_train_tiny_sweep_reaches_every_region(self, policy):
+        from repro.config import get_scale
+        from repro.core.looppoint import LoopPointOptions, LoopPointPipeline
+        from repro.workloads.registry import get_workload
+
+        scale = get_scale("tiny")
+        workload = get_workload("638.imagick_s.1", "train", 8, scale)
+        pipe = LoopPointPipeline(workload, options=LoopPointOptions(
+            scale=scale, jobs=1, wait_policy=WaitPolicy(policy),
+        ))
+        try:
+            results = pipe.simulate_regions()
+        except RegionError as exc:
+            message = str(exc)
+            assert "region 314: boundaries never reached" in message
+            assert "end marker (0x4000a8, 56480) unreached" in message
+            raise
+        assert len(results) == len(pipe.select().clusters)
