@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from ..config import default_batch_events, default_sched_compile
+from ..config import default_batch_events
 from ..errors import DeadlockError, ExecutionError
 from ..obs.heartbeat import active_heartbeat
 from ..obs.tracer import active_metrics
@@ -137,7 +137,6 @@ class ExecutionEngine:
         max_events: Optional[int] = None,
         batch_events: Optional[bool] = None,
         batch_capacity: int = DEFAULT_CAPACITY,
-        sched_compile: Optional[bool] = None,
         kernel_tier: Optional[str] = None,
     ) -> None:
         if nthreads < 1:
@@ -242,11 +241,9 @@ class ExecutionEngine:
         #: Per-thread scheduler tapes (see repro.exec_engine.schedcore),
         #: compiled when the batched path is active and every construct is
         #: a known built-in; ``None`` falls back to the generator path.
-        if sched_compile is None:
-            sched_compile = default_sched_compile()
         self._streams = (
             compile_streams(thread_program, nthreads)
-            if (self._ring is not None and sched_compile)
+            if self._ring is not None
             else None
         )
 

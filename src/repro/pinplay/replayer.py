@@ -10,26 +10,29 @@ Every analysis pass of the LoopPoint pipeline (BBV profiling, DCFG
 construction, slicing) runs on a replay, so analysis is reproducible no
 matter how noisy the original host was — requirement (1a) of the paper.
 
-Block events go to observers through the batched
-:class:`~repro.perf.ring.EventRing` hot path by default (same contract as
-the engine: bit-identical observer state, batch-vectorized dispatch).  The
-legacy per-event path remains for ``batch_events=False`` and is forced
-whenever an ``entry_hook`` is set: hooks observe (and read
-``exec_counts``) *between* events, which a batch by definition cannot
-honor.
+Block events reach observers through one driver, the batched
+:class:`~repro.perf.ring.EventRing` (same contract as the engine:
+bit-identical observer state, batch-vectorized dispatch).  With
+``batch_capacity=1`` every event is flushed on its own, so observers get
+one ``on_block`` call per event, in order — the per-event reference the
+tests compare the batched path against.
 
-Marker-to-marker replay: :meth:`ConstrainedReplayer.fast_forward_to`
-jumps the replay to a ``(PC, count)`` marker's cut without delivering
-any event — the functional analogue of restoring a gem5 checkpoint at a
-region boundary instead of simulating up to it — and
-``run(until=end_marker)`` stops exactly at the end boundary.  The skip
-reproduces the deterministic schedule bit-exactly, so observers attached
-for the region see precisely the events a full replay delivers between
-the two markers.
+Cuts without events: one forward walk (:func:`_walk`) over per-thread
+skip tables finds every cut a replay can jump to without delivering
+events — :meth:`ConstrainedReplayer.fast_forward_to`'s marker cut (the
+functional analogue of restoring a gem5 checkpoint at a region boundary
+instead of simulating up to it), live sampling's region-boundary scouts,
+and region extraction's warmup, start and end cuts
+(:mod:`repro.pinplay.region`).  The walk reproduces the deterministic
+schedule bit-exactly, so ``fast_forward_to(start)`` followed by
+``run(until=end)`` delivers precisely the events a full replay delivers
+between the two markers.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (
     Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
@@ -38,7 +41,6 @@ from typing import (
 
 import numpy as np
 
-from ..config import default_batch_events
 from ..dcfg.graph import ENTRY as DCFG_ENTRY
 from ..errors import ReplayError
 from ..exec_engine.engine import EngineResult
@@ -54,15 +56,25 @@ if TYPE_CHECKING:  # pragma: no cover - profiling imports pinplay at runtime
 
 
 @dataclass
+class CutPoint:
+    """A point in a replay's schedule: per-thread log positions and the
+    global instruction counters there."""
+
+    positions: List[int]
+    total: int
+    filtered: int
+
+
+@dataclass
 class ReplayCursor:
     """A replay's scalar scheduling state at one cut.
 
-    Everything :meth:`ConstrainedReplayer.scout_filtered_cut` needs to
-    re-run the deterministic schedule from a past cut — per-thread log
-    positions, instruction counters, the sync-order cursor, the
-    in-flight quantum and the tracked global marker counts.  Execution
-    counts are deliberately *not* here (they are the heavy part); the
-    live sampler reconstructs them in bulk via
+    Everything :func:`_walk` needs to continue the deterministic
+    schedule from a cut — per-thread log positions, instruction
+    counters, the sync-order cursor, the in-flight quantum and the
+    tracked global marker counts — and what it advances in place.
+    Execution counts are deliberately *not* here (they are the heavy
+    part); callers reconstruct them in bulk via
     :meth:`ConstrainedReplayer.advance_exec_counts`.
     """
 
@@ -72,6 +84,24 @@ class ReplayCursor:
     next_gseq: int
     quantum_resume: Optional[tuple]
     marker_counts: Dict[int, int]
+
+    def copy(self) -> "ReplayCursor":
+        return ReplayCursor(
+            positions=list(self.positions),
+            per_thread_total=list(self.per_thread_total),
+            per_thread_filtered=list(self.per_thread_filtered),
+            next_gseq=self.next_gseq,
+            quantum_resume=self.quantum_resume,
+            marker_counts=dict(self.marker_counts),
+        )
+
+    def point(self) -> CutPoint:
+        """Where this cursor stands."""
+        return CutPoint(
+            positions=list(self.positions),
+            total=sum(self.per_thread_total),
+            filtered=sum(self.per_thread_filtered),
+        )
 
 
 @dataclass
@@ -94,84 +124,65 @@ class RegionScout:
     end_positions: List[int]
 
 
-@dataclass
-class FilteredCut:
-    """The cut at the first entry whose pre-entry filtered count meets a
-    target coordinate (how live mode places warmup starts)."""
-
-    positions: List[int]
-    total: int
-    filtered: int
-
-
-class _WalkState:
-    """Mutable scalar state threaded through :func:`_walk`."""
-
-    __slots__ = ("pos", "ptt", "ptf", "next_gseq", "counts",
-                 "quantum_resume")
-
-    def __init__(self, pos, ptt, ptf, next_gseq, counts, quantum_resume):
-        self.pos = pos
-        self.ptt = ptt
-        self.ptf = ptf
-        self.next_gseq = next_gseq
-        self.counts = counts
-        self.quantum_resume = quantum_resume
+def _int64s(values: np.ndarray) -> array:
+    """A compact table the walk reads one scalar at a time: indexing and
+    ``bisect`` on an ``array`` cost a fraction of numpy's per-call
+    overhead, and it takes 8 bytes per value where a list of ints
+    takes 36."""
+    return array("q", values.astype(np.int64).tobytes())
 
 
 class _SkipIndex:
-    """Per-thread skip tables for one (pinball, stop-bid set).
+    """Per-thread skip tables for one (pinball, marker-PC set).
 
     Instruction prefix sums over each log (sync entries contribute
     zero), the sorted positions that must be handled individually
-    (syncs and stop-set marker blocks, with an end-of-log sentinel),
-    and the block entries' (index, bid, repeat) columns for bulk
+    (syncs and marker blocks, with an end-of-log sentinel), and the
+    block entries' (index, bid, repeat) columns for bulk
     execution-count updates.  Built once and cached on the replayer:
     live sampling fast-forwards and scouts the same pinball once per
     region, and rebuilding these tables per jump would be quadratic.
     """
 
     def __init__(self, program: Program, pinball: Pinball,
-                 stop_bids: FrozenSet[int]) -> None:
+                 marker_pcs: FrozenSet[int]) -> None:
         blocks = program.blocks
-        n_by_bid = [b.n_instr for b in blocks]
-        f_by_bid = [0 if b.image.is_library else b.n_instr for b in blocks]
+        #: Per-block instruction counts, total and filtered.
+        self.n_instr = [b.n_instr for b in blocks]
+        self.n_filtered = [
+            0 if b.image.is_library else b.n_instr for b in blocks
+        ]
+        n_by_bid = np.array(self.n_instr + [0], dtype=np.int64)
+        f_by_bid = np.array(self.n_filtered + [0], dtype=np.int64)
+        is_stop = np.zeros(len(blocks) + 1, dtype=bool)
+        is_stop[-1] = True  # sync entries, coded as bid -1
+        stop_bids = {program.block_at(pc).bid for pc in marker_pcs}
+        is_stop[list(stop_bids)] = True
         self.pc_of = {bid: blocks[bid].pc for bid in stop_bids}
-        self.cum_t: List[np.ndarray] = []
-        self.cum_f: List[np.ndarray] = []
-        self.stops: List[np.ndarray] = []
+        self.cum_t: List[array] = []
+        self.cum_f: List[array] = []
+        self.stops: List[array] = []
         self.blk_idx: List[np.ndarray] = []
         self.blk_bid: List[np.ndarray] = []
         self.blk_rep: List[np.ndarray] = []
         self.ends: List[int] = []
         for log in pinball.logs:
             n = len(log)
-            ent_t = [0] * n
-            ent_f = [0] * n
-            s_list: List[int] = []
-            b_idx: List[int] = []
-            b_bid: List[int] = []
-            b_rep: List[int] = []
-            for i, entry in enumerate(log):
-                if entry[0] == "b":
-                    bid = entry[1]
-                    rep = entry[2]
-                    ent_t[i] = n_by_bid[bid] * rep
-                    ent_f[i] = f_by_bid[bid] * rep
-                    b_idx.append(i)
-                    b_bid.append(bid)
-                    b_rep.append(rep)
-                    if bid in stop_bids:
-                        s_list.append(i)
-                else:
-                    s_list.append(i)
-            s_list.append(n)
-            self.cum_t.append(np.cumsum(np.array(ent_t, dtype=np.int64)))
-            self.cum_f.append(np.cumsum(np.array(ent_f, dtype=np.int64)))
-            self.stops.append(np.array(s_list, dtype=np.int64))
-            self.blk_idx.append(np.array(b_idx, dtype=np.int64))
-            self.blk_bid.append(np.array(b_bid, dtype=np.int64))
-            self.blk_rep.append(np.array(b_rep, dtype=np.int64))
+            bid = np.array(
+                [e[1] if e[0] == "b" else -1 for e in log], dtype=np.int64
+            )
+            rep = np.array(
+                [e[2] if e[0] == "b" else 0 for e in log], dtype=np.int64
+            )
+            self.cum_t.append(_int64s(np.cumsum(n_by_bid[bid] * rep)))
+            self.cum_f.append(_int64s(np.cumsum(f_by_bid[bid] * rep)))
+            self.stops.append(
+                _int64s(np.append(np.flatnonzero(is_stop[bid]), n))
+            )
+            blk = np.flatnonzero(bid >= 0)
+            self.blk_idx.append(blk)
+            self.blk_bid.append(bid[blk])
+            self.blk_rep.append(rep[blk])
             self.ends.append(n)
 
     def add_counts(self, flat: np.ndarray, start_pos: Sequence[int],
@@ -196,22 +207,22 @@ def _walk(
     logs,
     quantum: int,
     index: _SkipIndex,
-    state: _WalkState,
+    cur: ReplayCursor,
     *,
-    target_bid: int = -1,
-    target_count: int = -1,
-    marker_desc=None,
+    targets: Optional[Dict[int, List[int]]] = None,
     boundary_abs: Optional[int] = None,
     probe_abs: Optional[int] = None,
     filtered_abs: Optional[int] = None,
-) -> Tuple[bool, Optional[Tuple[int, int]], Optional[Tuple[int, int]]]:
-    """Advance ``state`` along the deterministic schedule until a stop.
+) -> Tuple[bool, Optional[Tuple[int, int]], Optional[Tuple[int, int, int]]]:
+    """Advance ``cur`` along the deterministic schedule until a stop.
 
-    Three stop modes (the caller picks one):
+    Stop rules, each checked just before an entry is consumed:
 
-    - *marker target* (``target_bid``/``target_count``): stop just
-      before the ``count``-th global execution of the target block —
-      :meth:`ConstrainedReplayer.fast_forward_to`'s rule, verbatim.
+    - *marker targets* (``targets``: ``pc ->`` ascending pending
+      counts): stop at the first entry of a target PC whose count range
+      ``[count, count + repeat)`` reaches the PC's smallest pending
+      count.  Whether the target falls at the entry's first count or
+      strictly inside it (a batched entry) is the caller's to judge.
     - *region boundary* (``boundary_abs``): stop at the first marker
       execution whose pre-entry global filtered count reaches the
       target; additionally records the first marker execution at/after
@@ -220,33 +231,38 @@ def _walk(
       offline :class:`~repro.profiling.slicer.LoopAlignedSlicer` cuts.
     - *filtered coordinate* (``filtered_abs``): stop at the first entry
       whose pre-entry global filtered count reaches the target — the
-      warmup-cut rule of region extraction.
+      warmup-cut rule of region extraction.  With no entry left there
+      is no stop.
 
-    Plain block runs between stops are consumed whole by bisecting the
-    prefix sums; scheduling (least-filtered-first, quantum boundaries,
-    the gseq gate, mid-quantum resume) matches :meth:`run` bit-exactly.
-    Returns ``(found, probe, boundary)`` with markers as (pc, count).
+    Marker targets combine with a filtered coordinate: the walk stops
+    at whichever comes first, and a caller resumes from ``cur`` for the
+    next one.  Plain block runs between stops are consumed whole by
+    bisecting the prefix sums; scheduling (least-filtered-first,
+    quantum boundaries, the gseq gate, mid-quantum resume) matches
+    :meth:`ConstrainedReplayer.run` bit-exactly.  Returns ``(found,
+    probe, hit)``: ``probe`` as ``(pc, count)``, and ``hit`` as ``(pc,
+    count, repeat)`` of the marker entry a marker stop halted before.
     """
-    pos = state.pos
-    ptt = state.ptt
-    ptf = state.ptf
-    counts = state.counts
-    next_gseq = state.next_gseq
+    pos = cur.positions
+    ptt = cur.per_thread_total
+    ptf = cur.per_thread_filtered
+    counts = cur.marker_counts
+    next_gseq = cur.next_gseq
     pc_of = index.pc_of
     ends = index.ends
     nthreads = len(logs)
     gf = sum(ptf)
-    live = set(t for t in range(nthreads) if pos[t] < ends[t])
-    searchsorted = np.searchsorted
+    # Ascending tids: the stable sort below breaks progress ties by tid.
+    live = [t for t in range(nthreads) if pos[t] < ends[t]]
+    if filtered_abs is not None and gf >= filtered_abs and live:
+        return True, None, None
+    n_instr = index.n_instr
+    n_filtered = index.n_filtered
     found = False
     probe: Optional[Tuple[int, int]] = None
-    boundary: Optional[Tuple[int, int]] = None
-    resume = state.quantum_resume
-    state.quantum_resume = None
-    if filtered_abs is not None and gf >= filtered_abs:
-        state.next_gseq = next_gseq
-        state.quantum_resume = resume
-        return True, None, None
+    hit: Optional[Tuple[int, int, int]] = None
+    resume = cur.quantum_resume
+    cur.quantum_resume = None
 
     while live and not found:
         if resume is not None and resume[0] in live:
@@ -254,7 +270,7 @@ def _walk(
             resume_round = True
         else:
             resume = None
-            candidates = sorted(live, key=lambda t: (ptf[t], t))
+            candidates = sorted(live, key=ptf.__getitem__)
             resume_round = False
         progressed = False
         for tid in candidates:
@@ -264,6 +280,9 @@ def _walk(
             t_cum = index.cum_t[tid]
             f_cum = index.cum_f[tid]
             t_stops = index.stops[tid]
+            # The next entry that must be handled on its own; ``p`` only
+            # grows, so the stop pointer only steps forward.
+            k = bisect_left(t_stops, p)
             tt = ptt[tid]
             tf = ptf[tid]
             if resume is not None:
@@ -274,30 +293,27 @@ def _walk(
             while tt < stop_at and p < end:
                 if filtered_abs is not None and gf >= filtered_abs:
                     found = True
-                    state.quantum_resume = (tid, stop_at - tt)
+                    cur.quantum_resume = (tid, stop_at - tt)
                     break
-                s = int(t_stops[searchsorted(t_stops, p)])
+                s = t_stops[k]
                 if s > p:
                     # Plain block entries up to the next stop: the
                     # quantum admits every entry whose pre-entry
                     # total is below ``stop_at`` (the per-event
                     # loop's exact rule), found by one bisect.
-                    base = int(t_cum[p - 1]) if p else 0
-                    f_base = int(f_cum[p - 1]) if p else 0
-                    j = int(searchsorted(t_cum, stop_at - tt + base))
-                    new_p = j + 1
+                    base = t_cum[p - 1] if p else 0
+                    f_base = f_cum[p - 1] if p else 0
+                    new_p = bisect_left(t_cum, stop_at - tt + base, p) + 1
                     if new_p > s:
                         new_p = s
                     if filtered_abs is not None:
                         # Truncate the run so the entry that first sees
                         # the filtered target is the next to consume.
-                        jj = int(searchsorted(
-                            f_cum, f_base + (filtered_abs - gf)
-                        ))
+                        jj = bisect_left(f_cum, f_base + (filtered_abs - gf), p)
                         if jj + 1 < new_p:
                             new_p = jj + 1
-                    df = int(f_cum[new_p - 1]) - f_base
-                    tt += int(t_cum[new_p - 1]) - base
+                    df = f_cum[new_p - 1] - f_base
+                    tt += t_cum[new_p - 1] - base
                     tf += df
                     gf += df
                     p = new_p
@@ -309,47 +325,37 @@ def _walk(
                     rep = entry[2]
                     pc = pc_of[bid]
                     c = counts.get(pc, 0)
+                    stop = False
                     if boundary_abs is not None:
                         if (probe is None and probe_abs is not None
                                 and gf >= probe_abs):
                             probe = (pc, c)
-                        if gf >= boundary_abs:
-                            boundary = (pc, c)
-                            found = True
-                            state.quantum_resume = (tid, stop_at - tt)
-                            break
-                    if bid == target_bid and c + rep > target_count:
-                        if c != target_count:
-                            raise ReplayError(
-                                f"fast-forward marker {marker_desc} "
-                                f"falls inside a batched entry "
-                                f"(repeat {rep} spans counts "
-                                f"{c}..{c + rep})"
-                            )
+                        stop = gf >= boundary_abs
+                    if targets and not stop:
+                        pending = targets.get(pc)
+                        stop = bool(pending) and pending[0] < c + rep
+                    if stop:
+                        hit = (pc, c, rep)
                         found = True
-                        state.quantum_resume = (tid, stop_at - tt)
+                        cur.quantum_resume = (tid, stop_at - tt)
                         break
                     counts[pc] = c + rep
-                    base = int(t_cum[p - 1]) if p else 0
-                    f_base = int(f_cum[p - 1]) if p else 0
-                    df = int(f_cum[p]) - f_base
-                    tt += int(t_cum[p]) - base
+                    df = n_filtered[bid] * rep
+                    tt += n_instr[bid] * rep
                     tf += df
                     gf += df
-                    p += 1
-                    progressed = True
                 else:
-                    gseq = entry[4]
-                    if gseq != next_gseq:
+                    if entry[4] != next_gseq:
                         break  # not this thread's turn at the order
                     next_gseq += 1
-                    p += 1
-                    progressed = True
+                p += 1
+                k += 1
+                progressed = True
             pos[tid] = p
             ptt[tid] = tt
             ptf[tid] = tf
             if p >= end:
-                live.discard(tid)
+                live.remove(tid)
             if found or progressed:
                 break
         if not progressed and not found and live:
@@ -364,8 +370,8 @@ def _walk(
                 f"next_gseq={next_gseq}, thread sync heads "
                 f"{waiting} — corrupt or truncated pinball"
             )
-    state.next_gseq = next_gseq
-    return found, probe, boundary
+    cur.next_gseq = next_gseq
+    return found, probe, hit
 
 
 class ConstrainedReplayer:
@@ -379,8 +385,6 @@ class ConstrainedReplayer:
         observers: Sequence[Observer] = (),
         quantum_instructions: int = 600,
         initial_exec_counts: Optional[List[List[int]]] = None,
-        entry_hook=None,
-        batch_events: Optional[bool] = None,
         batch_capacity: int = DEFAULT_CAPACITY,
     ) -> None:
         if pinball.program_name != program.name:
@@ -393,12 +397,6 @@ class ConstrainedReplayer:
         self.observers = list(observers)
         #: Scheduling quantum in instructions (mirrors the engine's).
         self.quantum_instructions = quantum_instructions
-        #: Called as ``entry_hook(tid, pos, entry)`` immediately *before* an
-        #: entry is processed; used by region extraction to find cut points.
-        self.entry_hook = entry_hook
-        if batch_events is None:
-            batch_events = default_batch_events()
-        self.batch_events = batch_events
         self._batch_capacity = batch_capacity
         #: Per-thread index of the next unprocessed log entry.
         self.positions: List[int] = [0] * pinball.nthreads
@@ -410,7 +408,6 @@ class ConstrainedReplayer:
             self.exec_counts = [list(row) for row in initial_exec_counts]
         else:
             self.exec_counts = [[0] * nblocks for _ in range(nthreads)]
-        self._ring: Optional[EventRing] = None
         self.total_instructions = 0
         self.filtered_instructions = 0
         self.per_thread_total = [0] * nthreads
@@ -425,7 +422,7 @@ class ConstrainedReplayer:
         #: must start from the prefix's counts, not from zero).
         self._marker_counts: Dict[int, int] = {}
         self._fast_forwarded = False
-        #: Cached per-thread skip tables, keyed by stop-bid set: live
+        #: Cached per-thread skip tables, keyed by marker-PC set: live
         #: sampling jumps the same pinball once per region.
         self._skip_indexes: Dict[FrozenSet[int], _SkipIndex] = {}
         #: ``(tid, remaining_instructions)`` of the scheduling quantum
@@ -434,19 +431,6 @@ class ConstrainedReplayer:
         #: thread's quantum (not grant a fresh one) or the interleaving
         #: diverges from an uninterrupted replay's.
         self._quantum_resume: Optional[tuple] = None
-
-    def _exec_block(self, tid: int, bid: int, repeat: int) -> None:
-        block = self.program.blocks[bid]
-        start = self.exec_counts[tid][bid]
-        self.exec_counts[tid][bid] = start + repeat
-        n = block.n_instr * repeat
-        self.total_instructions += n
-        self.per_thread_total[tid] += n
-        if not block.image.is_library:
-            self.filtered_instructions += n
-            self.per_thread_filtered[tid] += n
-        for ob in self.observers:
-            ob.on_block(tid, block, repeat, start)
 
     def fast_forward_to(
         self,
@@ -484,86 +468,90 @@ class ConstrainedReplayer:
         :class:`ReplayError` if the marker never triggers, falls inside
         a batched entry, or is unreachable per the DCFG.
         """
-        if self.entry_hook is not None:
-            raise ReplayError(
-                "fast_forward_to is incompatible with entry_hook: hooks "
-                "observe every entry, which a skip by definition omits"
-            )
         program = self.program
-        pcs = {marker.pc: program.block_at(marker.pc).bid}
-        for pc in track_pcs:
-            pcs[pc] = program.block_at(pc).bid
-        target_bid = pcs[marker.pc]
-        target_count = marker.count
+        pcs = [marker.pc, *track_pcs]
         if dcfg is not None:
             reachable = dcfg.reachable_from(DCFG_ENTRY)
-            for pc, bid in pcs.items():
+            for pc in pcs:
+                bid = program.block_at(pc).bid
                 if bid not in reachable:
                     raise ReplayError(
                         f"marker pc {pc:#x} (bid {bid}) is unreachable "
                         f"in the DCFG: the fast-forward target would "
                         f"never trigger"
                     )
-        counts = self._marker_counts
+        cur = self.cursor()
         for pc in pcs:
-            counts.setdefault(pc, 0)
+            cur.marker_counts.setdefault(pc, 0)
         self._fast_forwarded = True
-
-        nthreads = self.pinball.nthreads
-        nblocks = program.num_blocks
-        index = self._skip_index(frozenset(pcs.values()))
-        state = _WalkState(
-            pos=list(self.positions),
-            ptt=list(self.per_thread_total),
-            ptf=list(self.per_thread_filtered),
-            next_gseq=self._next_gseq,
-            counts=counts,
-            quantum_resume=self._quantum_resume,
-        )
-        self._quantum_resume = None
-        found, _, _ = _walk(
-            self.pinball.logs, self.quantum_instructions, index, state,
-            target_bid=target_bid, target_count=target_count,
-            marker_desc=marker,
+        found, _, hit = self.walk(
+            cur, pcs, targets={marker.pc: [marker.count]}
         )
         if not found:
             raise ReplayError(
                 f"fast-forward target {marker} never reached "
-                f"(global count stopped at {counts[marker.pc]})"
+                f"(global count stopped at {cur.marker_counts[marker.pc]})"
+            )
+        _, count, rep = hit
+        if count != marker.count:
+            raise ReplayError(
+                f"fast-forward marker {marker} falls inside a batched "
+                f"entry (repeat {rep} spans counts {count}..{count + rep})"
             )
 
+        nthreads = self.pinball.nthreads
+        nblocks = program.num_blocks
         flat = np.asarray(self.exec_counts, dtype=np.int64).reshape(-1)
-        skipped = index.add_counts(flat, self.positions, state.pos, nblocks)
+        skipped = self._skip_index(pcs).add_counts(
+            flat, self.positions, cur.positions, nblocks
+        )
         self.exec_counts = flat.reshape(nthreads, nblocks).tolist()
-        self.positions = state.pos
+        self.positions = cur.positions
         self.total_instructions += (
-            sum(state.ptt) - sum(self.per_thread_total)
+            sum(cur.per_thread_total) - sum(self.per_thread_total)
         )
         self.filtered_instructions += (
-            sum(state.ptf) - sum(self.per_thread_filtered)
+            sum(cur.per_thread_filtered) - sum(self.per_thread_filtered)
         )
-        self.per_thread_total = state.ptt
-        self.per_thread_filtered = state.ptf
+        self.per_thread_total = cur.per_thread_total
+        self.per_thread_filtered = cur.per_thread_filtered
         self.num_events += skipped
-        self._next_gseq = state.next_gseq
-        self._quantum_resume = state.quantum_resume
+        self._next_gseq = cur.next_gseq
+        self._quantum_resume = cur.quantum_resume
+        self._marker_counts = cur.marker_counts
         reg = active_metrics()
         if reg is not None:
             reg.inc("replay.fast_forward.runs")
             reg.inc("replay.fast_forward.entries", skipped)
         return skipped
 
-    def _skip_index(self, stop_bids: FrozenSet[int]) -> _SkipIndex:
-        """The per-thread skip tables for this stop set, built once."""
-        index = self._skip_indexes.get(stop_bids)
+    def _skip_index(self, marker_pcs: Iterable[int]) -> _SkipIndex:
+        """The per-thread skip tables for this marker-PC set, built once."""
+        key = frozenset(marker_pcs)
+        index = self._skip_indexes.get(key)
         if index is None:
-            index = _SkipIndex(self.program, self.pinball, stop_bids)
-            self._skip_indexes[stop_bids] = index
+            index = _SkipIndex(self.program, self.pinball, key)
+            self._skip_indexes[key] = index
         return index
 
-    def _stop_bids(self, marker_pcs: Iterable[int]) -> FrozenSet[int]:
-        return frozenset(
-            self.program.block_at(pc).bid for pc in marker_pcs
+    def walk(
+        self,
+        cursor: ReplayCursor,
+        marker_pcs: Iterable[int],
+        *,
+        targets: Optional[Dict[int, List[int]]] = None,
+        filtered_abs: Optional[int] = None,
+    ) -> Tuple[bool, Optional[Tuple[int, int]], Optional[Tuple[int, int, int]]]:
+        """Advance ``cursor`` along this replay's schedule to the next
+        marker target or filtered coordinate (see :func:`_walk`).
+
+        ``marker_pcs`` must name every target PC.  The replayer itself
+        does not move and no event is delivered.
+        """
+        return _walk(
+            self.pinball.logs, self.quantum_instructions,
+            self._skip_index(marker_pcs), cursor,
+            targets=targets, filtered_abs=filtered_abs,
         )
 
     def cursor(self) -> ReplayCursor:
@@ -607,32 +595,27 @@ class ConstrainedReplayer:
         supplies the true global marker counts at this cut (defaults
         to this replayer's tracked counts).
         """
-        index = self._skip_index(self._stop_bids(marker_pcs))
-        state = _WalkState(
-            pos=list(self.positions),
-            ptt=list(self.per_thread_total),
-            ptf=list(self.per_thread_filtered),
-            next_gseq=self._next_gseq,
-            counts=dict(self._marker_counts if counts is None else counts),
-            quantum_resume=self._quantum_resume,
-        )
-        gf0 = sum(state.ptf)
-        gt0 = sum(state.ptt)
+        cur = self.cursor()
+        if counts is not None:
+            cur.marker_counts = dict(counts)
+        gf0 = sum(cur.per_thread_filtered)
+        gt0 = sum(cur.per_thread_total)
         found, probe, end = _walk(
-            self.pinball.logs, self.quantum_instructions, index, state,
+            self.pinball.logs, self.quantum_instructions,
+            self._skip_index(marker_pcs), cur,
             boundary_abs=gf0 + slice_target,
             probe_abs=gf0 + probe_target,
         )
         from ..profiling.markers import Marker
         return RegionScout(
             probe=None if probe is None else Marker(*probe),
-            end=None if not found else Marker(*end),
-            filtered=sum(state.ptf) - gf0,
-            total=sum(state.ptt) - gt0,
-            per_thread_total=state.ptt,
-            per_thread_filtered=state.ptf,
-            counts_at_end=state.counts,
-            end_positions=state.pos,
+            end=None if not found else Marker(end[0], end[1]),
+            filtered=sum(cur.per_thread_filtered) - gf0,
+            total=sum(cur.per_thread_total) - gt0,
+            per_thread_total=cur.per_thread_total,
+            per_thread_filtered=cur.per_thread_filtered,
+            counts_at_end=cur.marker_counts,
+            end_positions=cur.positions,
         )
 
     def scout_filtered_cut(
@@ -641,37 +624,23 @@ class ConstrainedReplayer:
         *,
         cursor: ReplayCursor,
         target_filtered: int,
-    ) -> FilteredCut:
+    ) -> CutPoint:
         """Locate the first entry at/after ``cursor`` whose pre-entry
         global filtered count reaches ``target_filtered``.
 
-        This is region extraction's warmup-cut rule (the first hook
-        call with ``filtered >= warmup_filtered``), replayed on copied
-        scalar state without advancing this replayer.
+        This is region extraction's warmup-cut rule, walked on a copy
+        of ``cursor`` without advancing this replayer.
         """
-        index = self._skip_index(self._stop_bids(marker_pcs))
-        state = _WalkState(
-            pos=list(cursor.positions),
-            ptt=list(cursor.per_thread_total),
-            ptf=list(cursor.per_thread_filtered),
-            next_gseq=cursor.next_gseq,
-            counts=dict(cursor.marker_counts),
-            quantum_resume=cursor.quantum_resume,
-        )
-        found, _, _ = _walk(
-            self.pinball.logs, self.quantum_instructions, index, state,
-            filtered_abs=target_filtered,
+        cur = cursor.copy()
+        found, _, _ = self.walk(
+            cur, marker_pcs, filtered_abs=target_filtered
         )
         if not found:
             raise ReplayError(
                 f"filtered coordinate {target_filtered} beyond end of "
-                f"execution (stopped at {sum(state.ptf)})"
+                f"execution (stopped at {sum(cur.per_thread_filtered)})"
             )
-        return FilteredCut(
-            positions=state.pos,
-            total=sum(state.ptt),
-            filtered=sum(state.ptf),
-        )
+        return cur.point()
 
     def advance_exec_counts(
         self,
@@ -684,7 +653,7 @@ class ConstrainedReplayer:
         entries between the two cuts (one bulk scatter-add, no walk)."""
         nthreads = self.pinball.nthreads
         nblocks = self.program.num_blocks
-        index = self._skip_index(self._stop_bids(marker_pcs))
+        index = self._skip_index(marker_pcs)
         flat = np.asarray(base_counts, dtype=np.int64).reshape(-1).copy()
         index.add_counts(flat, start_positions, end_positions, nblocks)
         return flat.reshape(nthreads, nblocks).tolist()
@@ -713,7 +682,6 @@ class ConstrainedReplayer:
         logs = self.pinball.logs
         nthreads = self.pinball.nthreads
         pos = self.positions
-        hook = self.entry_hook
         blocks = self.program.blocks
         until_bid = -1
         until_count = -1
@@ -736,24 +704,17 @@ class ConstrainedReplayer:
                 )
             until_count = until.count
             until_c = base
-        # The batch/legacy decision happens here, not at construction:
-        # callers (region extraction) may assign entry_hook after __init__,
-        # and hooks read per-event state (positions, exec_counts) between
-        # events, which a batch by definition cannot keep fresh.
-        ring = None
-        if self.batch_events and hook is None:
-            ring = self._ring = EventRing(
-                blocks, nthreads, self.observers,
-                capacity=self._batch_capacity,
-                initial_exec_counts=self.exec_counts,
-            )
-        if ring is not None:
-            ring_rows = ring.buffers()
-            ring_append_row = ring_rows.append
-            ring_encode = ring.encode
-            ring_capacity = ring.capacity
-            ring_flush = ring.flush
-            flush_on_sync = ring.flush_on_sync
+        ring = EventRing(
+            blocks, nthreads, self.observers,
+            capacity=self._batch_capacity,
+            initial_exec_counts=self.exec_counts,
+        )
+        ring_rows = ring.buffers()
+        ring_append_row = ring_rows.append
+        ring_encode = ring.encode
+        ring_capacity = ring.capacity
+        ring_flush = ring.flush
+        flush_on_sync = ring.flush_on_sync
         ends = [len(log) for log in logs]
         next_gseq = self._next_gseq
         live = set(tid for tid in range(nthreads) if pos[tid] < ends[tid])
@@ -778,95 +739,53 @@ class ConstrainedReplayer:
             progressed = False
             for tid in candidates:
                 log = logs[tid]
+                ptt = self.per_thread_total[tid]
+                ptf = self.per_thread_filtered[tid]
                 if resume is not None:
-                    stop_at = self.per_thread_total[tid] + resume[1]
+                    stop_at = ptt + resume[1]
                     resume = None
                 else:
-                    stop_at = (
-                        self.per_thread_total[tid] + self.quantum_instructions
-                    )
-                if ring is not None:
-                    ptt = self.per_thread_total[tid]
-                    ptf = self.per_thread_filtered[tid]
-                    while ptt < stop_at and pos[tid] < ends[tid]:
-                        entry = log[pos[tid]]
-                        if entry[0] == "b":
-                            bid = entry[1]
-                            repeat = entry[2]
-                            if bid == until_bid:
-                                if until_c + repeat > until_count:
-                                    if until_c != until_count:
-                                        raise ReplayError(
-                                            f"until marker {until} falls "
-                                            f"inside a batched entry"
-                                        )
-                                    stopped = True
-                                    self._quantum_resume = (
-                                        tid, stop_at - ptt
+                    stop_at = ptt + self.quantum_instructions
+                while ptt < stop_at and pos[tid] < ends[tid]:
+                    entry = log[pos[tid]]
+                    if entry[0] == "b":
+                        bid = entry[1]
+                        repeat = entry[2]
+                        if bid == until_bid:
+                            if until_c + repeat > until_count:
+                                if until_c != until_count:
+                                    raise ReplayError(
+                                        f"until marker {until} falls "
+                                        f"inside a batched entry"
                                     )
-                                    break
-                                until_c += repeat
-                            block = blocks[bid]
-                            n = block.n_instr * repeat
-                            ptt += n
-                            if not block.image.is_library:
-                                ptf += n
-                                self.filtered_instructions += n
-                            self.total_instructions += n
-                            ring_append_row(ring_encode(tid, bid, repeat))
-                            if len(ring_rows) >= ring_capacity:
-                                ring_flush()
-                        else:
-                            _, kind, obj_id, response, gseq = entry
-                            if gseq != next_gseq:
-                                break  # not this thread's turn at the order
-                            next_gseq += 1
-                            if flush_on_sync:
-                                ring_flush()
-                            for ob in self.observers:
-                                ob.on_sync(tid, kind, obj_id, response, gseq)
-                        pos[tid] += 1
-                        self.num_events += 1
-                        progressed = True
-                    self.per_thread_total[tid] = ptt
-                    self.per_thread_filtered[tid] = ptf
-                else:
-                    while (
-                        self.per_thread_total[tid] < stop_at
-                        and pos[tid] < ends[tid]
-                    ):
-                        entry = log[pos[tid]]
-                        if entry[0] == "b":
-                            if entry[1] == until_bid:
-                                repeat = entry[2]
-                                if until_c + repeat > until_count:
-                                    if until_c != until_count:
-                                        raise ReplayError(
-                                            f"until marker {until} falls "
-                                            f"inside a batched entry"
-                                        )
-                                    stopped = True
-                                    self._quantum_resume = (
-                                        tid,
-                                        stop_at - self.per_thread_total[tid],
-                                    )
-                                    break
-                                until_c += repeat
-                            if hook is not None:
-                                hook(tid, pos[tid], entry)
-                            self._exec_block(tid, entry[1], entry[2])
-                        else:
-                            _, kind, obj_id, response, gseq = entry
-                            if gseq != next_gseq:
-                                break  # not this thread's turn at the order
-                            if hook is not None:
-                                hook(tid, pos[tid], entry)
-                            next_gseq += 1
-                            for ob in self.observers:
-                                ob.on_sync(tid, kind, obj_id, response, gseq)
-                        pos[tid] += 1
-                        self.num_events += 1
-                        progressed = True
+                                stopped = True
+                                self._quantum_resume = (tid, stop_at - ptt)
+                                break
+                            until_c += repeat
+                        block = blocks[bid]
+                        n = block.n_instr * repeat
+                        ptt += n
+                        if not block.image.is_library:
+                            ptf += n
+                            self.filtered_instructions += n
+                        self.total_instructions += n
+                        ring_append_row(ring_encode(tid, bid, repeat))
+                        if len(ring_rows) >= ring_capacity:
+                            ring_flush()
+                    else:
+                        _, kind, obj_id, response, gseq = entry
+                        if gseq != next_gseq:
+                            break  # not this thread's turn at the order
+                        next_gseq += 1
+                        if flush_on_sync:
+                            ring_flush()
+                        for ob in self.observers:
+                            ob.on_sync(tid, kind, obj_id, response, gseq)
+                    pos[tid] += 1
+                    self.num_events += 1
+                    progressed = True
+                self.per_thread_total[tid] = ptt
+                self.per_thread_filtered[tid] = ptf
                 if pos[tid] >= ends[tid]:
                     live.discard(tid)
                 if stopped or progressed:
@@ -886,8 +805,7 @@ class ConstrainedReplayer:
         self._next_gseq = next_gseq
         if until is not None:
             self._marker_counts[until.pc] = until_c
-        if ring is not None:
-            self.exec_counts = ring.exec_counts()  # flushes the ring
+        self.exec_counts = ring.exec_counts()  # flushes the ring
         if finish:
             for ob in self.observers:
                 ob.on_finish()
@@ -895,10 +813,9 @@ class ConstrainedReplayer:
         if reg is not None:  # once per replay, never per event
             reg.inc("replay.runs")
             reg.inc("replay.events", self.num_events)
-            if ring is not None:
-                reg.inc("replay.ring.flushes", ring.flushes)
-                reg.inc("replay.ring.small_flushes", ring.small_flushes)
-                reg.inc("replay.ring.events_flushed", ring.events_flushed)
+            reg.inc("replay.ring.flushes", ring.flushes)
+            reg.inc("replay.ring.small_flushes", ring.small_flushes)
+            reg.inc("replay.ring.events_flushed", ring.events_flushed)
         return EngineResult(
             total_instructions=self.total_instructions,
             filtered_instructions=self.filtered_instructions,

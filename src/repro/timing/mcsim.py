@@ -309,6 +309,63 @@ class _RegionController:
             raise RegionError("whole-run simulation never started detail")
 
 
+class _DetailWindow:
+    """Detail-portion metrics of one checkpoint run (ELFie or pinball).
+
+    Each core's counters are snapshotted when *its* thread crosses into
+    the detail portion — threads drift during a checkpoint run, so a
+    single global snapshot would misattribute work near the boundary.
+    The shared L3 is snapshotted at the first crossing, the start cycle
+    at the last.
+    """
+
+    def __init__(self, sim: "MultiCoreSimulator", detail_at: List[int]) -> None:
+        self.sim = sim
+        self.in_detail = [at <= 0 for at in detail_at]
+        self.core_snaps: List[Optional[Dict[str, int]]] = [
+            sim._core_snapshot(t) if inside else None
+            for t, inside in enumerate(self.in_detail)
+        ]
+        self.l3_snap = (
+            sim.hierarchy.l3_misses if any(self.in_detail) else None
+        )
+        self.started = all(self.in_detail)
+        self.start_cycle = 0
+
+    def _cycle(self) -> int:
+        cores = self.sim.cores
+        return max(cores[t].cycle for t in range(len(self.in_detail)))
+
+    def cross(self, tid: int) -> None:
+        """Thread ``tid`` enters its detail portion."""
+        self.in_detail[tid] = True
+        self.core_snaps[tid] = self.sim._core_snapshot(tid)
+        if self.l3_snap is None:
+            self.l3_snap = self.sim.hierarchy.l3_misses
+        if not self.started and all(self.in_detail):
+            self.started = True
+            self.start_cycle = self._cycle()
+
+    def result(self, region_id: int, what: str) -> SimulationResult:
+        """The detail portion's metrics, at the end of the run."""
+        if not self.started:
+            raise RegionError(f"{what} never reached its detail portion")
+        sim = self.sim
+        end_cycle = self._cycle()
+        metrics = SimMetrics()
+        for t, snap in enumerate(self.core_snaps):
+            for key, value in sim._core_snapshot(t).items():
+                setattr(metrics, key, getattr(metrics, key) + value - snap[key])
+        metrics.l3_misses = sim.hierarchy.l3_misses - (self.l3_snap or 0)
+        metrics.cycles = max(1, end_cycle - self.start_cycle)
+        return SimulationResult(
+            region_id=region_id,
+            metrics=metrics,
+            start_cycle=self.start_cycle,
+            end_cycle=end_cycle,
+        )
+
+
 class MultiCoreSimulator:
     """A Sniper-like multicore simulator over the repro program model."""
 
@@ -442,55 +499,52 @@ class MultiCoreSimulator:
             tid = thread.tid
             # Single-event turns keep inter-core drift at one block batch,
             # which bounds region-boundary jitter on the global clock.
-            for _burst in range(1):
-                if thread.state != _RUNNABLE or ctl.finished:
-                    break
-                try:
-                    event = thread.gen.send(thread.response)
-                except StopIteration:
-                    thread.state = _DONE
-                    break
-                thread.response = None
-                num_events += 1
-                etype = type(event)
-                if etype is BlockExec:
-                    ctl.pre_block(event.block, event.repeat)
-                    if ctl.finished:
-                        break
-                    self._exec(tid, event.block, event.repeat, not ctl.detailed)
-                    ctl.post_block(event.block.n_instr * event.repeat)
-                elif etype is BarrierWait:
-                    self._handle_barrier_timed(
-                        thread, event.barrier_id, barriers, threads, active, ctl
-                    )
-                elif etype is LockAcquire:
-                    self._handle_lock_acquire_timed(
-                        thread, event.lock_id, locks, active, ctl.detailed
-                    )
-                elif etype is LockRelease:
-                    self._handle_lock_release_timed(
-                        thread, event.lock_id, locks, threads, active,
-                        ctl.detailed,
-                    )
-                elif etype is ChunkRequest:
-                    cursor = chunks.get(event.loop_id, 0)
-                    self._exec(tid, self.omp.chunk_fetch, 1, not ctl.detailed)
-                    if cursor >= event.total_iters:
-                        thread.response = -1
-                    else:
-                        thread.response = cursor
-                        chunks[event.loop_id] = cursor + event.chunk_size
-                elif etype is SingleRequest:
-                    granted = event.single_id not in singles
-                    if granted:
-                        singles.add(event.single_id)
-                    thread.response = granted
-                elif etype is Reduce:
-                    self._exec(tid, self.omp.reduce_combine, 1, not ctl.detailed)
+            try:
+                event = thread.gen.send(thread.response)
+            except StopIteration:
+                thread.state = _DONE
+                continue
+            thread.response = None
+            num_events += 1
+            etype = type(event)
+            if etype is BlockExec:
+                ctl.pre_block(event.block, event.repeat)
+                if ctl.finished:
+                    continue
+                self._exec(tid, event.block, event.repeat, not ctl.detailed)
+                ctl.post_block(event.block.n_instr * event.repeat)
+            elif etype is BarrierWait:
+                self._handle_barrier_timed(
+                    thread, event.barrier_id, barriers, threads, active, ctl
+                )
+            elif etype is LockAcquire:
+                self._handle_lock_acquire_timed(
+                    thread, event.lock_id, locks, active, ctl.detailed
+                )
+            elif etype is LockRelease:
+                self._handle_lock_release_timed(
+                    thread, event.lock_id, locks, threads, active,
+                    ctl.detailed,
+                )
+            elif etype is ChunkRequest:
+                cursor = chunks.get(event.loop_id, 0)
+                self._exec(tid, self.omp.chunk_fetch, 1, not ctl.detailed)
+                if cursor >= event.total_iters:
+                    thread.response = -1
                 else:
-                    raise SimulationError(f"unknown event {event!r}")
-                if max_events is not None and num_events > max_events:
-                    raise SimulationError(f"exceeded max_events={max_events}")
+                    thread.response = cursor
+                    chunks[event.loop_id] = cursor + event.chunk_size
+            elif etype is SingleRequest:
+                granted = event.single_id not in singles
+                if granted:
+                    singles.add(event.single_id)
+                thread.response = granted
+            elif etype is Reduce:
+                self._exec(tid, self.omp.reduce_combine, 1, not ctl.detailed)
+            else:
+                raise SimulationError(f"unknown event {event!r}")
+            if max_events is not None and num_events > max_events:
+                raise SimulationError(f"exceeded max_events={max_events}")
 
         ctl.finalize(whole_run, clip_at_end)
         if len(ctl.results) != len(ctl.rois) and not clip_at_end:
@@ -630,14 +684,8 @@ class MultiCoreSimulator:
         progress = [0] * nthreads
         detail_at = list(elfie.detail_positions) if elfie.detail_positions \
             else [0] * nthreads
-        in_detail = [progress[t] >= detail_at[t] for t in range(nthreads)]
-        core_snaps = [
-            self._core_snapshot(t) if in_detail[t] else None
-            for t in range(nthreads)
-        ]
-        l3_snap = self.hierarchy.l3_misses if any(in_detail) else None
-        detail_started = all(in_detail)
-        start_cycle = 0
+        window = _DetailWindow(self, detail_at)
+        in_detail = window.in_detail
 
         barriers: Dict[int, List[Tuple[int, int]]] = {}
         locks: Dict[int, _SimLock] = {}
@@ -695,33 +743,9 @@ class MultiCoreSimulator:
                 raise SimulationError(f"unexpected ELFie event {event!r}")
             progress[tid] += 1
             if not in_detail[tid] and progress[tid] >= detail_at[tid]:
-                in_detail[tid] = True
-                core_snaps[tid] = self._core_snapshot(tid)
-                if l3_snap is None:
-                    l3_snap = self.hierarchy.l3_misses
-                if not detail_started and all(in_detail):
-                    detail_started = True
-                    start_cycle = max(
-                        cores[i].cycle for i in range(nthreads)
-                    )
+                window.cross(tid)
 
-        if not detail_started:
-            raise RegionError("ELFie never reached its detail portion")
-        end_cycle = max(cores[i].cycle for i in range(nthreads))
-        metrics = SimMetrics()
-        for t in range(nthreads):
-            now = self._core_snapshot(t)
-            snap = core_snaps[t]
-            for key, value in now.items():
-                setattr(metrics, key, getattr(metrics, key) + value - snap[key])
-        metrics.l3_misses = self.hierarchy.l3_misses - (l3_snap or 0)
-        metrics.cycles = max(1, end_cycle - start_cycle)
-        return SimulationResult(
-            region_id=elfie.region_id,
-            metrics=metrics,
-            start_cycle=start_cycle,
-            end_cycle=end_cycle,
-        )
+        return window.result(elfie.region_id, "ELFie")
 
     # ======================================================================
     # Checkpoint-driven constrained simulation
@@ -762,18 +786,8 @@ class MultiCoreSimulator:
         last_sync_cycle: Dict[tuple, int] = {}
         cores = self.cores
         program = self.program
-        in_detail = [pos[t] >= detail_at[t] for t in range(nthreads)]
-        # Each core's counters are snapshotted when *its* thread crosses
-        # into the detail portion — threads drift during constrained replay,
-        # so a single global snapshot would misattribute work near the
-        # boundary.  The shared L3 is snapshotted at the first crossing.
-        core_snaps: List[Optional[Dict[str, int]]] = [
-            self._core_snapshot(t) if in_detail[t] else None
-            for t in range(nthreads)
-        ]
-        l3_snap = self.hierarchy.l3_misses if any(in_detail) else None
-        detail_started = all(in_detail)
-        start_cycle = 0
+        window = _DetailWindow(self, detail_at)
+        in_detail = window.in_detail
 
         live = set(t for t in range(nthreads) if pos[t] < ends[t])
         while live:
@@ -804,30 +818,8 @@ class MultiCoreSimulator:
                 last_sync_cycle[key] = cores[t].cycle
             pos[t] += 1
             if not in_detail[t] and pos[t] >= detail_at[t]:
-                in_detail[t] = True
-                core_snaps[t] = self._core_snapshot(t)
-                if l3_snap is None:
-                    l3_snap = self.hierarchy.l3_misses
-                if not detail_started and all(in_detail):
-                    detail_started = True
-                    start_cycle = max(cores[i].cycle for i in range(nthreads))
+                window.cross(t)
             if pos[t] >= ends[t]:
                 live.discard(t)
 
-        if not detail_started:
-            raise RegionError("pinball never reached its detail portion")
-        end_cycle = max(cores[i].cycle for i in range(nthreads))
-        metrics = SimMetrics()
-        for t in range(nthreads):
-            now = self._core_snapshot(t)
-            snap = core_snaps[t]
-            for key, value in now.items():
-                setattr(metrics, key, getattr(metrics, key) + value - snap[key])
-        metrics.l3_misses = self.hierarchy.l3_misses - (l3_snap or 0)
-        metrics.cycles = max(1, end_cycle - start_cycle)
-        return SimulationResult(
-            region_id=getattr(pinball, "region_id", -1),
-            metrics=metrics,
-            start_cycle=start_cycle,
-            end_cycle=end_cycle,
-        )
+        return window.result(getattr(pinball, "region_id", -1), "pinball")

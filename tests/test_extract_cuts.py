@@ -1,24 +1,30 @@
-"""Region extraction equals the scan-based extractor it replaced.
+"""Region extraction equals a scan-based extractor fed one entry at a time.
 
-``extract_region_pinballs`` keeps its pending cuts indexed — warmup
-coordinates in a sorted queue, start/end markers keyed by ``(pc, count)``
-— so each replayed entry costs O(1) however many regions are cut.  The
-oracle below is the earlier implementation, which scanned every cut
-state on every entry.  Every :class:`RegionPinball` field must match it:
-logs, ``start_exec_counts``, ``detail_positions``, metadata and totals,
-on every registry workload at ``tiny`` scale, on the two ref-checkpoint
-apps, and on hand-built cut sets that stress the indexing (overlapping
-warmups, shared coordinates and markers, open ends, batched entries).
+``extract_region_pinballs`` finds every cut with one walk over the
+replay's skip index, stopping only at pending warmup coordinates and
+``(pc, count)`` markers.  The oracle below is independent of that walk:
+an observer on a per-event replay (``batch_capacity=1``, one ``on_block``
+or ``on_sync`` call per log entry, in order) keeps its own log positions,
+instruction totals and execution counts, and scans every cut on every
+entry.  Every :class:`RegionPinball` field must match it: logs,
+``start_exec_counts``, ``detail_positions``, metadata and totals, on every
+registry workload at ``tiny`` scale, on the two ref-checkpoint apps, and on
+hand-built cut sets that stress the walk (overlapping warmups, shared
+coordinates and markers, open ends, batched entries, a warmup at the final
+filtered count, a warmup whose first entry is a sync, start and end cuts on
+one entry, cuts out of schedule order).
 
 Run as a script, the module prints sha256 digests of the profile slices,
 the selection and the region pinballs of the demo workloads at ``tiny``
-scale; CI diffs that output between ``REPRO_BATCH_EVENTS=0`` and ``=1``.
+scale; CI diffs that output between ``REPRO_BATCH_EVENTS=0`` and ``=1``
+(the recording engine's two event paths).
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
+import random
 import sys
 from dataclasses import fields
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -31,11 +37,14 @@ from repro.config import get_scale
 from repro.core.looppoint import LoopPointOptions, LoopPointPipeline
 from repro.core.warmup import region_cuts_for_selection
 from repro.errors import RegionError
+from repro.exec_engine.observers import Observer
 from repro.isa.image import Program
 from repro.pinplay import ConstrainedReplayer, RegionCut, extract_region_pinballs
 from repro.pinplay.pinball import Pinball, RegionPinball
 from repro.profiling import Marker
 from repro.workloads.registry import get_workload, list_workloads
+
+from conftest import build_toy
 
 TINY = get_scale("tiny")
 SMALL = get_scale("small")
@@ -43,7 +52,50 @@ DEMOS = ("demo-matrix-1", "demo-matrix-2", "demo-matrix-3")
 REF_APPS = ("621.wrf_s.1", "638.imagick_s.1")
 
 
-# -- the oracle: the scan-based extractor, verbatim in behaviour -------------
+# -- the oracle: a scan over every cut on every replayed entry ----------------
+
+
+class EntryFeed(Observer):
+    """Calls ``on_entry(feed, tid, entry)`` before each replayed log entry.
+
+    Positions, totals and execution counts are this observer's own, kept
+    from the events it sees, so they read the state *before* the entry.
+    """
+
+    def __init__(self, program: Program, pinball: Pinball, on_entry) -> None:
+        self.logs = pinball.logs
+        self.on_entry = on_entry
+        self.positions = [0] * pinball.nthreads
+        self.exec_counts = [
+            [0] * program.num_blocks for _ in range(pinball.nthreads)
+        ]
+        self.total = 0
+        self.filtered = 0
+
+    def _next(self, tid: int, entry: tuple) -> None:
+        assert entry == self.logs[tid][self.positions[tid]]
+        self.on_entry(self, tid, entry)
+        self.positions[tid] += 1
+
+    def on_block(self, tid, block, repeat, start_index) -> None:
+        self._next(tid, ("b", block.bid, repeat))
+        self.exec_counts[tid][block.bid] += repeat
+        n = block.n_instr * repeat
+        self.total += n
+        if not block.image.is_library:
+            self.filtered += n
+
+    def on_sync(self, tid, kind, obj_id, response, gseq) -> None:
+        self._next(tid, ("s", kind, obj_id, response, gseq))
+
+
+def replay_entries(program: Program, pinball: Pinball, on_entry) -> EntryFeed:
+    feed = EntryFeed(program, pinball, on_entry)
+    ConstrainedReplayer(
+        program, pinball, observers=(feed,), batch_capacity=1
+    ).run()
+    assert feed.positions == [len(log) for log in pinball.logs]
+    return feed
 
 
 class _OracleState:
@@ -68,16 +120,15 @@ def oracle_extract(
     }
     bid_to_pc = {program.block_at(pc).bid: pc for pc in marker_pcs}
     marker_counts: Dict[int, int] = {pc: 0 for pc in marker_pcs}
-    replayer = ConstrainedReplayer(program, pinball)
 
-    def hook(tid: int, pos: int, entry) -> None:
-        filtered = replayer.filtered_instructions
-        total = replayer.total_instructions
-        positions = replayer.positions
+    def on_entry(feed: EntryFeed, tid: int, entry) -> None:
+        filtered = feed.filtered
+        total = feed.total
+        positions = feed.positions
         for state in states:
             if state.stage == 0 and filtered >= state.cut.warmup_filtered:
                 state.warm_pos = list(positions)
-                state.warm_counts = copy.deepcopy(replayer.exec_counts)
+                state.warm_counts = copy.deepcopy(feed.exec_counts)
                 state.warm_total = total
                 state.warm_filtered = filtered
                 state.stage = 1
@@ -124,8 +175,7 @@ def oracle_extract(
                     state.end_filtered = filtered
                     state.stage = 3
 
-    replayer.entry_hook = hook
-    replayer.run()
+    feed = replay_entries(program, pinball, on_entry)
     log_ends = [len(log) for log in pinball.logs]
     for state in states:
         if state.stage == 0:
@@ -145,8 +195,8 @@ def oracle_extract(
                     f"{state.cut.end} never reached"
                 )
             state.end_pos = log_ends
-            state.end_total = replayer.total_instructions
-            state.end_filtered = replayer.filtered_instructions
+            state.end_total = feed.total
+            state.end_filtered = feed.filtered
     return [_oracle_region(pinball, state) for state in states]
 
 
@@ -339,9 +389,8 @@ def _batched_marker_entry(program, pinball, marker_pcs):
     bid_to_pc = {program.block_at(pc).bid: pc for pc in marker_pcs}
     counts = {pc: 0 for pc in marker_pcs}
     found = []
-    replayer = ConstrainedReplayer(program, pinball)
 
-    def hook(tid, pos, entry):
+    def on_entry(feed, tid, entry):
         if entry[0] != "b" or entry[1] not in bid_to_pc:
             return
         pc = bid_to_pc[entry[1]]
@@ -349,8 +398,7 @@ def _batched_marker_entry(program, pinball, marker_pcs):
             found.append((pc, counts[pc], entry[2]))
         counts[pc] += entry[2]
 
-    replayer.entry_hook = hook
-    replayer.run()
+    replay_entries(program, pinball, on_entry)
     return found[0] if found else None
 
 
@@ -415,6 +463,136 @@ def test_unreachable_cuts_fail_alike(demo):
         )
         assert kind == "error"
         assert_same_outcome(program, pinball, cuts)
+
+
+def _blocks_only_pinball(tail_library: bool):
+    """Two threads of application blocks and no syncs, so the final
+    filtered count is first reached after the last entry -- unless
+    ``tail_library`` appends a library block to thread 1."""
+    program, _, omp = build_toy()
+    hdr, body = program.blocks[0], program.blocks[1]
+    assert not hdr.image.is_library and not body.image.is_library
+    logs = [[("b", hdr.bid, 1), ("b", body.bid, 40)] * 3 for _ in range(2)]
+    if tail_library:
+        assert omp.spin_block.image.is_library
+        logs[1].append(("b", omp.spin_block.bid, 5))
+    total = filtered = 0
+    for log in logs:
+        for _, bid, repeat in log:
+            block = program.blocks[bid]
+            total += block.n_instr * repeat
+            if not block.image.is_library:
+                filtered += block.n_instr * repeat
+    pinball = Pinball(program.name, 2, "passive", 0, logs, total, filtered)
+    return program, pinball, hdr
+
+
+@pytest.mark.parametrize("tail_library", [False, True])
+def test_warmup_at_final_filtered_count(tail_library):
+    program, pinball, hdr = _blocks_only_pinball(tail_library)
+    final = pinball.filtered_instructions
+    for cuts in (
+        [RegionCut(0, None, None, final)],
+        # The walk resumes from an earlier cut before it reaches the end.
+        [RegionCut(0, Marker(hdr.pc, 2), None, 0),
+         RegionCut(1, None, None, final)],
+    ):
+        kind, got = outcome(
+            lambda: extract_region_pinballs(program, pinball, cuts)
+        )
+        if tail_library:
+            assert kind == "ok"
+            assert got[-1].logs == [[], [("b", pinball.logs[1][-1][1], 5)]]
+        else:
+            assert got == (
+                f"region {cuts[-1].region_id}: warmup coordinate {final} "
+                f"beyond end of execution"
+            )
+        assert_same_outcome(program, pinball, cuts)
+
+
+def test_warmup_of_an_empty_execution():
+    program, _, _ = build_toy()
+    pinball = Pinball(program.name, 2, "passive", 0, [[], []], 0, 0)
+    cuts = [RegionCut(0, None, None, 0)]
+    with pytest.raises(RegionError, match="beyond end of execution"):
+        extract_region_pinballs(program, pinball, cuts)
+    assert_same_outcome(program, pinball, cuts)
+
+
+def test_warmup_at_final_filtered_count_of_a_recording(demo):
+    program, pinball, slices = demo
+    final = pinball.filtered_instructions
+    cuts = [
+        RegionCut(0, None, None, final),
+        RegionCut(1, slices[-1].start, None, slices[-1].start_filtered),
+    ]
+    assert_same_outcome(program, pinball, cuts)
+
+
+def test_warmup_whose_first_entry_is_a_sync(demo):
+    program, pinball, slices = demo
+    seen = []  # (pre-entry filtered count, tid, entry kind)
+    replay_entries(
+        program, pinball, lambda feed, tid, entry: seen.append(
+            (feed.filtered, tid, entry[0])
+        ),
+    )
+    # The coordinate a block just reached, where the next entry is a sync.
+    hits = [
+        (seen[i][0], seen[i][1]) for i in range(1, len(seen))
+        if seen[i][2] == "s" and seen[i][0] > seen[i - 1][0]
+    ]
+    assert hits
+    for warm, tid in hits[:: max(1, len(hits) // 5)]:
+        later = [s for s in slices if s.start_filtered > warm and s.start]
+        if not later:
+            continue
+        cuts = [
+            RegionCut(0, later[0].start, later[0].end, warm),
+            RegionCut(1, None, later[0].start, warm),
+        ]
+        regions = assert_same_outcome(program, pinball, cuts)
+        for region in regions:
+            assert region.logs[tid][0][0] == "s"
+
+
+def test_start_and_end_cuts_on_one_entry(demo):
+    program, pinball, slices = demo
+    a, b = slices[4], slices[5]
+    m = a.end
+    assert m == b.start
+    warm = a.start_filtered - 50
+    cuts = [
+        RegionCut(0, a.start, m, warm),  # ends at m
+        RegionCut(1, m, b.end, warm),  # starts at m
+        RegionCut(2, m, m, warm),  # starts and ends at m
+        RegionCut(3, None, m, warm),  # opened by its warmup, ends at m
+    ]
+    regions = assert_same_outcome(program, pinball, cuts)
+    assert regions[2].metadata["detail_total"] == 0
+    assert regions[0].detail_positions != regions[1].detail_positions
+
+
+def test_start_and_end_on_one_batched_entry(batched):
+    program, pinball, (pc, before, repeat) = batched
+    at, inside = Marker(pc, before), Marker(pc, before + 1)
+    regions = assert_same_outcome(
+        program, pinball, [RegionCut(0, at, at, 0)]
+    )
+    assert regions[0].metadata["detail_total"] == 0
+    cuts = [RegionCut(0, at, inside, 0), RegionCut(1, inside, None, 0)]
+    with pytest.raises(RegionError, match=f"end marker .*{before + 1}"):
+        extract_region_pinballs(program, pinball, cuts)
+    assert_same_outcome(program, pinball, cuts)
+
+
+def test_cuts_out_of_schedule_order(demo):
+    program, pinball, slices = demo
+    cuts = [_cut(i, slices[i], 3000) for i in range(len(slices))]
+    for order in (cuts[::-1], random.Random(0).sample(cuts, len(cuts))):
+        regions = assert_same_outcome(program, pinball, order)
+        assert [r.region_id for r in regions] == [c.region_id for c in order]
 
 
 @settings(max_examples=40, deadline=None)

@@ -111,7 +111,7 @@ class TestFastForwardEquivalence:
         # Fast-forward path: skip to the start cut, replay to the end cut.
         ic_ff, tc_ff = _observer_pair(nthreads)
         ff = ConstrainedReplayer(
-            program, pinball, observers=(ic_ff, tc_ff), batch_events=True
+            program, pinball, observers=(ic_ff, tc_ff)
         )
         skipped = ff.fast_forward_to(start, track_pcs=[end.pc])
         bbv_at_start = np.asarray(ff.exec_counts, dtype=np.int64)
@@ -122,13 +122,13 @@ class TestFastForwardEquivalence:
         # Reference 1 — EngineResult: a scratch replay run to the same
         # end cut must produce the identical result (totals, per-thread
         # counters, exec counts, event count).
-        scratch = ConstrainedReplayer(program, pinball, batch_events=True)
+        scratch = ConstrainedReplayer(program, pinball)
         result_full = scratch.run(until=end)
         assert result_ff == result_full
 
         # Reference 2 — region BBV: exec-count delta between the two cuts
         # of scratch replays equals the fast-forwarded path's delta.
-        at_start = ConstrainedReplayer(program, pinball, batch_events=True)
+        at_start = ConstrainedReplayer(program, pinball)
         at_start.run(until=start)
         bbv_region_full = (
             np.asarray(scratch.exec_counts, dtype=np.int64)
@@ -145,7 +145,7 @@ class TestFastForwardEquivalence:
             (ic_ref, tc_ref), start_bid, start.count, end_bid, end.count
         )
         ConstrainedReplayer(
-            program, pinball, observers=(gate,), batch_events=False
+            program, pinball, observers=(gate,), batch_capacity=1
         ).run()
         assert ic_ff.total == ic_ref.total
         assert ic_ff.filtered == ic_ref.filtered
@@ -203,7 +203,7 @@ class TestWrapAroundMarkers:
 
         ic_ff, tc_ff = _observer_pair(4)
         ff = ConstrainedReplayer(
-            program, pinball, observers=(ic_ff, tc_ff), batch_events=True
+            program, pinball, observers=(ic_ff, tc_ff)
         )
         ff.fast_forward_to(start, track_pcs=[end.pc])
         # The wrap property itself: the end PC already has a nonzero
@@ -211,14 +211,14 @@ class TestWrapAroundMarkers:
         assert ff._marker_counts[end.pc] > 0
         result_ff = ff.run(until=end)
 
-        scratch = ConstrainedReplayer(program, pinball, batch_events=True)
+        scratch = ConstrainedReplayer(program, pinball)
         assert result_ff == scratch.run(until=end)
 
         ic_ref, tc_ref = _observer_pair(4)
         gate = Gate((ic_ref, tc_ref), body.bid, start.count,
                     hdr.bid, end.count)
         ConstrainedReplayer(
-            program, pinball, observers=(gate,), batch_events=False
+            program, pinball, observers=(gate,), batch_capacity=1
         ).run()
         assert ic_ff.per_thread_total == ic_ref.per_thread_total
         assert ic_ff.per_thread_filtered == ic_ref.per_thread_filtered
@@ -232,14 +232,6 @@ class TestFastForwardErrors:
         program, tp, omp = build_toy()
         pinball, _ = record_execution(program, tp, omp, 4, seed=3)
         return program, pinball
-
-    def test_entry_hook_incompatible(self, toy_pinball):
-        program, pinball = toy_pinball
-        replayer = ConstrainedReplayer(
-            program, pinball, entry_hook=lambda tid, pos, entry: None
-        )
-        with pytest.raises(ReplayError, match="entry_hook"):
-            replayer.fast_forward_to(Marker(program.blocks[1].pc, 40))
 
     def test_dcfg_unreachable_marker_rejected(self, toy_pinball):
         program, pinball = toy_pinball

@@ -1,11 +1,12 @@
 """The batched event hot path: equivalence, the ring, and the fast kernels.
 
-The optimization's contract is *bit-identical* observer state between the
-legacy per-event path and the batched ring, for the engine and for the
-constrained replayer.  These tests enforce that contract across wait
-policies, seeds, and awkward ring capacities, then cover the ring's
-start-index reconstruction, the GEMM k-means kernels, the sweep modes, and
-the parallel k-fit fan-out.
+The optimization's contract is *bit-identical* observer state between
+per-event delivery and the batched ring: the engine's legacy path against
+its ring, and the constrained replayer's ring at capacity 1 (every event
+flushed on its own) against larger capacities.  These tests enforce that
+contract across wait policies, seeds, and awkward ring capacities, then
+cover the ring's start-index reconstruction, the GEMM k-means kernels, the
+sweep modes, and the parallel k-fit fan-out.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from repro.clustering.kmeans import kmeans
 from repro.clustering.simpoint import SimPointOptions, select_simpoints
+from repro.config import get_scale
 from repro.exec_engine.engine import ExecutionEngine
 from repro.exec_engine.observers import (
     InstructionCounter,
@@ -21,12 +23,15 @@ from repro.exec_engine.observers import (
     TraceCollector,
 )
 from repro.perf.kernels import assign_labels, weighted_means
-from repro.perf.ring import EventRing, batch_start_indices
+from repro.perf.ring import (
+    DEFAULT_CAPACITY, EventRing, batch_start_indices,
+)
 from repro.pinplay.recorder import record_execution
 from repro.pinplay.replayer import ConstrainedReplayer
 from repro.policy import WaitPolicy
 from repro.profiling.filters import FilterPolicy
 from repro.profiling.slicer import LoopAlignedSlicer
+from repro.workloads.registry import get_workload
 
 from conftest import build_toy
 
@@ -110,6 +115,27 @@ class TestEngineBatchEquivalence:
             runs.append(spy.calls)
         assert runs[0] == runs[1]
 
+    def test_uncompilable_program_takes_generator_path(self):
+        """644.nab_s.1 has a construct ``compile_streams`` rejects: the
+        batched engine falls back to the generator loop, and that loop
+        equals the legacy path in result and observer state."""
+        w = get_workload(
+            "644.nab_s.1", input_class="train", nthreads=4,
+            scale=get_scale("tiny"),
+        )
+        runs = []
+        for batch in (False, True):
+            obs = _observers(4)
+            engine = ExecutionEngine(
+                w.program, w.thread_program, w.omp, 4, seed=0,
+                observers=obs, batch_events=batch,
+            )
+            if batch:
+                assert engine._ring is not None
+                assert engine._streams is None
+            runs.append((engine.run(), obs))
+        _assert_equal_state(*runs)
+
     def test_env_toggle_honored(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH_EVENTS", "0")
         program, tp, omp = build_toy()
@@ -130,12 +156,11 @@ class TestReplayerBatchEquivalence:
         program, pinball = self._pinball()
         obs_l = _observers(4)
         r_l = ConstrainedReplayer(
-            program, pinball, observers=obs_l, batch_events=False
+            program, pinball, observers=obs_l, batch_capacity=1
         ).run()
         obs_b = _observers(4)
         r_b = ConstrainedReplayer(
-            program, pinball, observers=obs_b, batch_events=True,
-            batch_capacity=13,
+            program, pinball, observers=obs_b, batch_capacity=13,
         ).run()
         _assert_equal_state((r_l, obs_l), (r_b, obs_b))
 
@@ -144,16 +169,17 @@ class TestReplayerBatchEquivalence:
         policy = FilterPolicy()
         markers = [b for b in program.blocks if policy.marker_eligible(b)]
 
-        def run(batch):
+        def run(capacity):
             slicer = LoopAlignedSlicer(
                 4, program.num_blocks, markers, slice_size=600
             )
             ConstrainedReplayer(
-                program, pinball, observers=(slicer,), batch_events=batch
+                program, pinball, observers=(slicer,),
+                batch_capacity=capacity,
             ).run()
             return slicer.slices
 
-        legacy, batched = run(False), run(True)
+        legacy, batched = run(1), run(DEFAULT_CAPACITY)
         assert len(legacy) == len(batched)
         for a, b in zip(legacy, batched):
             assert (a.start, a.end) == (b.start, b.end)
@@ -161,14 +187,6 @@ class TestReplayerBatchEquivalence:
             assert a.filtered_instructions == b.filtered_instructions
             assert a.per_thread_filtered == b.per_thread_filtered
             assert a.start_filtered == b.start_filtered
-
-    def test_entry_hook_forces_legacy_path(self):
-        program, pinball = self._pinball()
-        replayer = ConstrainedReplayer(
-            program, pinball, entry_hook=lambda tid, pos, entry: None
-        )
-        assert replayer._ring is None
-        assert replayer.run().num_events > 0
 
 
 class TestRingInternals:

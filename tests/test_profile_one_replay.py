@@ -70,11 +70,10 @@ def test_batched_dcfg_builder_matches_per_event(track_threads, capacity):
     pipe = make_pipeline()
     program, pinball = pipe.workload.program, pipe.record()
     builders = []
-    for batch in (False, True):
+    for cap in (1, capacity):
         builder = DCFGBuilder(program, pinball.nthreads, track_threads)
         ConstrainedReplayer(
-            program, pinball, observers=(builder,), batch_events=batch,
-            batch_capacity=capacity,
+            program, pinball, observers=(builder,), batch_capacity=cap,
         ).run()
         builders.append(builder)
     want, got = builders

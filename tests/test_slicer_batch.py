@@ -4,7 +4,8 @@
 Python: an exclusive prefix sum of filtered work finds the first marker
 whose pre-event slice count reaches ``slice_size``, and everything before
 it (other markers included) accumulates in bulk.  These tests pin it to
-the per-event path (``batch_events=False``): slice markers, BBV bytes,
+per-event delivery (a ring of capacity 1, which hands every event to
+``on_block`` on its own): slice markers, BBV bytes,
 counters and ``start_filtered`` must match through the ring at several
 capacities, through hand-cut batches of 1, 2 and 7 events (the ring
 delivers batches that small per event), and over random marker subsets.
@@ -57,12 +58,11 @@ def new_slicer(program, pinball, markers, slice_size):
     )
 
 
-def replay_slices(program, pinball, markers, slice_size, batch,
+def replay_slices(program, pinball, markers, slice_size,
                   capacity=DEFAULT_CAPACITY):
     slicer = new_slicer(program, pinball, markers, slice_size)
     ConstrainedReplayer(
-        program, pinball, observers=(slicer,), batch_events=batch,
-        batch_capacity=capacity,
+        program, pinball, observers=(slicer,), batch_capacity=capacity,
     ).run()
     return slicer
 
@@ -81,7 +81,7 @@ def feed_in_batches(program, pinball, markers, slice_size, size):
     """Deliver the replay's events to the slicer in batches of ``size``."""
     log = _EventLog()
     ConstrainedReplayer(
-        program, pinball, observers=(log,), batch_events=False
+        program, pinball, observers=(log,), batch_capacity=1
     ).run()
     blocks = program.blocks
     n_instr = np.array([b.n_instr for b in blocks], dtype=np.int64)
@@ -109,8 +109,8 @@ SLICE_SIZES = (4_000, 25_000)
 @pytest.mark.parametrize("capacity", [1, 2, 7, 64, DEFAULT_CAPACITY])
 def test_ring_batches_match_per_event(recorded, capacity, slice_size):
     program, pinball, markers = recorded
-    want = replay_slices(program, pinball, markers, slice_size, False)
-    got = replay_slices(program, pinball, markers, slice_size, True, capacity)
+    want = replay_slices(program, pinball, markers, slice_size, 1)
+    got = replay_slices(program, pinball, markers, slice_size, capacity)
     assert len(want.slices) > 1
     assert slice_rows(got) == slice_rows(want)
     assert got.tracker.snapshot() == want.tracker.snapshot()
@@ -120,7 +120,7 @@ def test_ring_batches_match_per_event(recorded, capacity, slice_size):
 @pytest.mark.parametrize("size", [1, 2, 7, 500])
 def test_hand_cut_batches_match_per_event(recorded, size, slice_size):
     program, pinball, markers = recorded
-    want = replay_slices(program, pinball, markers, slice_size, False)
+    want = replay_slices(program, pinball, markers, slice_size, 1)
     got = feed_in_batches(program, pinball, markers, slice_size, size)
     assert slice_rows(got) == slice_rows(want)
     assert got.tracker.snapshot() == want.tracker.snapshot()
@@ -145,6 +145,6 @@ def test_random_marker_subsets_match_per_event(recorded, data):
     )
     slice_size = data.draw(st.integers(1, 40_000))
     capacity = data.draw(st.sampled_from([48, 300, DEFAULT_CAPACITY]))
-    want = replay_slices(program, pinball, subset, slice_size, False)
-    got = replay_slices(program, pinball, subset, slice_size, True, capacity)
+    want = replay_slices(program, pinball, subset, slice_size, 1)
+    got = replay_slices(program, pinball, subset, slice_size, capacity)
     assert slice_rows(got) == slice_rows(want)
